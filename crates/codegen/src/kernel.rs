@@ -10,9 +10,12 @@
 //!   (Section 4.5);
 //! * **fused primitive kernels** — compiled from the fused function bodies
 //!   produced by the fusion pass; a fast path applies trailing unary
-//!   elementwise ops in place, in a single pass, so fusion eliminates both
-//!   intermediate allocations *and* memory traffic.
+//!   elementwise ops in place, in a single pass, and elementwise groups
+//!   (optionally behind a `dense` anchor) run as one tiled sweep (the
+//!   `sweep` module), so fusion eliminates both intermediate allocations
+//!   *and* memory traffic.
 
+use crate::sweep::{Src, Sweep};
 use crate::symbolic::{DispatchLevel, SymbolicDense};
 use nimble_ir::attrs::Attrs;
 use nimble_ir::expr::{Expr, ExprKind, Function};
@@ -201,9 +204,11 @@ impl Kernel {
 
     /// Compile a fused primitive function into a single kernel.
     ///
-    /// The body is compiled once into a positional step list — per-call
-    /// execution is a flat loop over function pointers with a `Vec` value
-    /// environment, no name lookups.
+    /// The body is compiled once into a positional step list. A group of
+    /// elementwise members, optionally behind a leading `dense`, runs as
+    /// one tiled sweep (the `sweep` module); any other group, or operand
+    /// shapes the sweep declines, runs as a flat loop over the registry's
+    /// function pointers with a `Vec` value environment, no name lookups.
     ///
     /// # Errors
     /// Fails when the body is not a let-chain of operator calls over
@@ -215,80 +220,11 @@ impl Kernel {
             return Ok(k);
         }
         // General path: precompile to positional steps.
-        #[derive(Clone)]
-        enum Src {
-            Param(usize),
-            Member(usize),
-            Const(Tensor),
-        }
-        /// Scalar operation codes for the single-pass fused-elementwise
-        /// evaluator.
-        #[derive(Clone, Copy)]
-        enum EwOp {
-            Add,
-            Sub,
-            Mul,
-            Div,
-            Maximum,
-            Minimum,
-            Tanh,
-            Sigmoid,
-            Relu,
-            Gelu,
-            Neg,
-            Sqrt,
-        }
-        impl EwOp {
-            fn of(name: &str) -> Option<(EwOp, usize)> {
-                Some(match name {
-                    "add" => (EwOp::Add, 2),
-                    "sub" => (EwOp::Sub, 2),
-                    "mul" => (EwOp::Mul, 2),
-                    "div" => (EwOp::Div, 2),
-                    "maximum" => (EwOp::Maximum, 2),
-                    "minimum" => (EwOp::Minimum, 2),
-                    "tanh" => (EwOp::Tanh, 1),
-                    "sigmoid" => (EwOp::Sigmoid, 1),
-                    "relu" => (EwOp::Relu, 1),
-                    "gelu" => (EwOp::Gelu, 1),
-                    "neg" => (EwOp::Neg, 1),
-                    "sqrt" => (EwOp::Sqrt, 1),
-                    _ => return None,
-                })
-            }
-            /// Per-element evaluation. Unary transcendentals go through
-            /// [`nimble_simd::vecmath::unary_scalar_lane`] so a value that
-            /// flows through this fused evaluator gets bit-identical
-            /// treatment to one flowing through the standalone elementwise
-            /// kernels under the same active SIMD backend — fusion
-            /// grouping never changes output bits.
-            #[inline]
-            fn apply(self, isa: nimble_simd::Isa, a: f32, b: f32) -> f32 {
-                use nimble_simd::vecmath::{unary_scalar_lane, UnaryOp};
-                match self {
-                    EwOp::Add => a + b,
-                    EwOp::Sub => a - b,
-                    EwOp::Mul => a * b,
-                    EwOp::Div => a / b,
-                    EwOp::Maximum => a.max(b),
-                    EwOp::Minimum => a.min(b),
-                    EwOp::Tanh => unary_scalar_lane(isa, UnaryOp::Tanh, a),
-                    EwOp::Sigmoid => unary_scalar_lane(isa, UnaryOp::Sigmoid, a),
-                    EwOp::Relu => unary_scalar_lane(isa, UnaryOp::Relu, a),
-                    EwOp::Gelu => unary_scalar_lane(isa, UnaryOp::Gelu, a),
-                    EwOp::Neg => -a,
-                    EwOp::Sqrt => a.sqrt(),
-                }
-            }
-        }
         struct Step {
             exec: nimble_ir::op::ExecFn,
             attrs: Attrs,
             args: Vec<Src>,
             name: &'static str,
-            /// Set when the member is a pure elementwise op (enables the
-            /// single-pass evaluator when the whole group qualifies).
-            ew: Option<(EwOp, usize)>,
         }
         let mut pos_of_param: HashMap<u32, usize> = HashMap::new();
         for (i, p) in func.params.iter().enumerate() {
@@ -324,7 +260,6 @@ impl Kernel {
                         attrs: attrs.clone(),
                         args: srcs,
                         name: def.name,
-                        ew: EwOp::of(name),
                     });
                     cur = body.clone();
                 }
@@ -351,10 +286,7 @@ impl Kernel {
             steps.iter().map(|s| s.name).collect::<Vec<_>>().join("+")
         );
         let num_params = func.params.len();
-        // The whole group is elementwise when every member is, and no
-        // member has more than two operands.
-        let all_elementwise =
-            steps.iter().all(|s| s.ew.is_some() && s.args.len() <= 2) && steps.len() <= 32;
+        let sweep = Sweep::compile(steps.iter().map(|s| (s.name, &s.args[..])));
         Ok(Kernel::new(&name, move |inputs| {
             if inputs.len() != num_params {
                 return Err(KernelError(format!(
@@ -362,96 +294,11 @@ impl Kernel {
                     inputs.len()
                 )));
             }
-            // Single-pass fused evaluation: legal when every non-scalar
-            // operand shares one shape (scalars broadcast). This is the
-            // loop fusion a compiled kernel performs — one sweep, zero
-            // intermediate buffers.
-            if all_elementwise {
-                let mut common: Option<&[usize]> = None;
-                let mut uniform = true;
-                'check: for step in &steps {
-                    for src in &step.args {
-                        let dims = match src {
-                            Src::Param(i) => match inputs[*i].as_f32() {
-                                Ok(_) => inputs[*i].dims(),
-                                Err(_) => {
-                                    uniform = false;
-                                    break 'check;
-                                }
-                            },
-                            Src::Const(t) => t.dims(),
-                            Src::Member(_) => continue,
-                        };
-                        let volume: usize = dims.iter().product();
-                        if volume == 1 {
-                            continue;
-                        }
-                        match common {
-                            None => common = Some(dims),
-                            Some(c) if c == dims => {}
-                            Some(_) => {
-                                uniform = false;
-                                break 'check;
-                            }
-                        }
-                    }
-                }
-                if uniform {
-                    let out_dims: Vec<usize> = common.map(|c| c.to_vec()).unwrap_or_default();
-                    let len: usize = out_dims.iter().product();
-                    let mut out = vec![0.0f32; len];
-                    // Resolve operand buffers once.
-                    enum Buf<'a> {
-                        Slice(&'a [f32]),
-                        Scalar(f32),
-                        Member(usize),
-                    }
-                    let mut bufs: Vec<[Option<Buf>; 2]> = Vec::with_capacity(steps.len());
-                    for step in &steps {
-                        let mut pair: [Option<Buf>; 2] = [None, None];
-                        for (slot, src) in step.args.iter().enumerate() {
-                            pair[slot] = Some(match src {
-                                Src::Param(i) => {
-                                    let v = inputs[*i].as_f32()?;
-                                    if v.len() == 1 {
-                                        Buf::Scalar(v[0])
-                                    } else {
-                                        Buf::Slice(v)
-                                    }
-                                }
-                                Src::Const(t) => {
-                                    let v = t.as_f32()?;
-                                    if v.len() == 1 {
-                                        Buf::Scalar(v[0])
-                                    } else {
-                                        Buf::Slice(v)
-                                    }
-                                }
-                                Src::Member(m) => Buf::Member(*m),
-                            });
-                        }
-                        bufs.push(pair);
-                    }
-                    let isa = nimble_simd::active();
-                    let mut vals = [0.0f32; 32];
-                    for (i, o) in out.iter_mut().enumerate() {
-                        for (si, step) in steps.iter().enumerate() {
-                            let (op, arity) = step.ew.expect("checked elementwise");
-                            let fetch = |b: &Option<Buf>| -> f32 {
-                                match b {
-                                    Some(Buf::Slice(s)) => s[i],
-                                    Some(Buf::Scalar(c)) => *c,
-                                    Some(Buf::Member(m)) => vals[*m],
-                                    None => 0.0,
-                                }
-                            };
-                            let a = fetch(&bufs[si][0]);
-                            let b = if arity == 2 { fetch(&bufs[si][1]) } else { 0.0 };
-                            vals[si] = op.apply(isa, a, b);
-                        }
-                        *o = vals[steps.len() - 1];
-                    }
-                    return Ok(vec![Tensor::from_vec_f32(out, &out_dims)?]);
+            // One tiled sweep when the group and its operand shapes allow
+            // it — the loop fusion a compiled kernel performs.
+            if let Some(sweep) = &sweep {
+                if let Some(out) = sweep.run(inputs)? {
+                    return Ok(vec![out]);
                 }
             }
             // Fallback: member-at-a-time interpretation.

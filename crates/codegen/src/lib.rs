@@ -5,7 +5,8 @@
 //! * [`kernel`] — compile IR operator calls and fused primitive functions
 //!   into executable [`kernel::Kernel`] closures (the payload of the VM's
 //!   `InvokePacked` instruction), with an in-place fast path for fused
-//!   elementwise tails;
+//!   elementwise tails and a tiled single-sweep evaluator (`sweep`) for
+//!   elementwise groups, optionally behind a `dense` anchor;
 //! * [`shape_func`] — compile shape functions in the three modes of
 //!   Section 4.2 into CPU kernels over `i64` shape tensors;
 //! * [`symbolic`] — **symbolic codegen with residue dispatch**: duplicate a
@@ -22,6 +23,7 @@
 pub mod kernel;
 pub mod select;
 pub mod shape_func;
+mod sweep;
 pub mod symbolic;
 pub mod tuner;
 

@@ -614,10 +614,10 @@ pub fn unary_poly_reference(op: UnaryOp, x: f32) -> f32 {
 /// * `Sse2` → the same polynomials over [`crate::ScalarNoFmaF32`], whose
 ///   `mul_add` takes two roundings exactly like SSE2's mul+add pair.
 ///
-/// Fused single-pass evaluators (codegen's elementwise interpreter) use
-/// this so a value flowing through a fused kernel gets bit-identical
-/// treatment to one flowing through the standalone elementwise op under
-/// the same active backend — fusion grouping never changes output bits.
+/// The differential tests hold [`unary_slice`] to this per-lane function
+/// on every backend. That is what lets a caller cut a slice into tiles
+/// (codegen's fused elementwise sweep runs [`unary_slice`] tile by tile)
+/// without changing a bit — fusion grouping never changes output bits.
 pub fn unary_scalar_lane(isa: Isa, op: UnaryOp, x: f32) -> f32 {
     if !op.vectorizable() {
         return op.apply_scalar(x);

@@ -5,7 +5,7 @@
 //! (Section 6.3). Convolution is im2col + GEMM, reusing the dense inner
 //! loops.
 
-use super::gemm::{gemm_packed, Epilogue};
+use super::gemm::{gemm, Epilogue};
 use super::matmul::MatmulSchedule;
 use crate::{Result, Tensor, TensorError};
 
@@ -88,7 +88,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, stride: usize, padding: usize) ->
         }
         // out[img]: [oh*ow, oc] = col [oh*ow, k] · weightᵀ [oc, k]
         let mut img_out = vec![0.0f32; oh * ow * oc];
-        gemm_packed(
+        gemm(
             profile,
             &col,
             &packed_w,

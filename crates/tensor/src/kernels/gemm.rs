@@ -36,6 +36,11 @@
 //! variants, and `NIMBLE_SIMD` switch ISAs without changing a single bit of
 //! GEMM output.
 //!
+//! Two drivers share the microkernel layouts: the row-strip
+//! [`gemm_packed`] for tall outputs and the short-row [`gemm_packed_cols`]
+//! for outputs of fewer than `MR` rows. [`gemm`] picks between them by row
+//! count; every kernel that owns a GEMM goes through it.
+//!
 //! The epilogue (bias add + any fused trailing unary elementwise chain) is
 //! applied in the single write-out pass through
 //! [`nimble_simd::vecmath::epilogue_row`] — the same shared masked-tail row
@@ -353,97 +358,162 @@ unsafe fn micro_edge_v<S: SimdF32>(ap: &[f32], bp: &[f32], kc: usize, acc: &mut 
 /// Per-`tile_k`-block microkernel signature: `(ap, bp, kc, acc)`.
 type MicroFn = unsafe fn(&[f32], &[f32], usize, &mut [[f32; NR]; MR]);
 
-/// Cols-driver per-(row, panel) kernel signature: `(arow, pb, jp_idx, acc)`.
-type ColsFn = unsafe fn(&[f32], &PackedB, usize, &mut [f32; NR]);
+/// Panels the cols driver computes per kernel call. Each panel keeps its
+/// own accumulator chain, so `CP` panels give the core `CP` independent
+/// add chains to overlap (one panel alone is bound by add latency).
+const CP: usize = 4;
+
+/// Cols-driver accumulators: one `NR`-wide row per panel.
+type ColsAcc = [[f32; NR]; CP];
+
+/// Cols-driver kernel signature: `(arow, pb, jp0, count, acc)` reduces
+/// one A row against the `count <= CP` panels starting at `jp0` into
+/// `acc[..count]`.
+type ColsFn = unsafe fn(&[f32], &PackedB, usize, usize, &mut ColsAcc);
 
 // Scalar cols kernels (extracted verbatim from the original driver loops).
-unsafe fn cols_server_scalar(arow: &[f32], pb: &PackedB, jp_idx: usize, acc: &mut [f32; NR]) {
+unsafe fn cols_server_scalar(
+    arow: &[f32],
+    pb: &PackedB,
+    jp0: usize,
+    count: usize,
+    acc: &mut ColsAcc,
+) {
     // NR independent acc += a*b lanes per k step, matching micro_server's
     // reduction order.
-    for block in 0..pb.k_blocks() {
-        let k0 = pb.block_k0(block);
-        let bp = pb.panel(block, jp_idx);
-        for (kk, bvals) in bp.chunks_exact(NR).enumerate() {
-            let av = arow[k0 + kk];
-            for c in 0..NR {
-                acc[c] += av * bvals[c];
+    for (jp_idx, acc) in (jp0..jp0 + count).zip(acc.iter_mut()) {
+        for block in 0..pb.k_blocks() {
+            let k0 = pb.block_k0(block);
+            let bp = pb.panel(block, jp_idx);
+            for (kk, bvals) in bp.chunks_exact(NR).enumerate() {
+                let av = arow[k0 + kk];
+                for c in 0..NR {
+                    acc[c] += av * bvals[c];
+                }
             }
         }
     }
 }
 
-unsafe fn cols_edge_scalar(arow: &[f32], pb: &PackedB, jp_idx: usize, acc: &mut [f32; NR]) {
+unsafe fn cols_edge_scalar(
+    arow: &[f32],
+    pb: &PackedB,
+    jp0: usize,
+    count: usize,
+    acc: &mut ColsAcc,
+) {
     // Per-element in-order mul_add chain, matching micro_edge's reduction
     // order.
-    for (c, slot) in acc.iter_mut().enumerate() {
-        let mut s = *slot;
-        for block in 0..pb.k_blocks() {
-            let k0 = pb.block_k0(block);
-            let bp = pb.panel(block, jp_idx);
-            for (kk, av) in arow[k0..k0 + pb.block_kc(block)].iter().enumerate() {
-                s = av.mul_add(bp[kk * NR + c], s);
+    for (jp_idx, acc) in (jp0..jp0 + count).zip(acc.iter_mut()) {
+        for (c, slot) in acc.iter_mut().enumerate() {
+            let mut s = *slot;
+            for block in 0..pb.k_blocks() {
+                let k0 = pb.block_k0(block);
+                let bp = pb.panel(block, jp_idx);
+                for (kk, av) in arow[k0..k0 + pb.block_kc(block)].iter().enumerate() {
+                    s = av.mul_add(bp[kk * NR + c], s);
+                }
             }
+            *slot = s;
         }
-        *slot = s;
     }
 }
 
 /// Width-generic cols-driver Server kernel: same lane order as
 /// [`cols_server_scalar`] (mul-then-add, ascending `k`), vectorized across
-/// the `NR` panel columns — bitwise identical on every backend.
+/// the `NR` panel columns and interleaved across `P` panels — bitwise
+/// identical on every backend.
 #[inline(always)]
 #[allow(clippy::needless_range_loop)]
-unsafe fn cols_server_v<S: SimdF32>(
+unsafe fn cols_server_p<S: SimdF32, const P: usize>(
     arow: &[f32],
     pb: &PackedB,
-    jp_idx: usize,
-    acc: &mut [f32; NR],
+    jp0: usize,
+    acc: &mut ColsAcc,
 ) {
     let nch = NR / S::LANES;
-    let mut vacc = [S::zero(); NR];
-    for c in 0..nch {
-        vacc[c] = S::load(&acc[c * S::LANES..]);
+    let mut vacc = [[S::zero(); NR]; P];
+    for p in 0..P {
+        for c in 0..nch {
+            vacc[p][c] = S::load(&acc[p][c * S::LANES..]);
+        }
     }
     for block in 0..pb.k_blocks() {
         let k0 = pb.block_k0(block);
-        let bp = pb.panel(block, jp_idx);
-        // SAFETY: `arow` spans the full `k` range of the packed layout.
-        for (kk, bvals) in bp.chunks_exact(NR).enumerate() {
+        let bps: [&[f32]; P] = core::array::from_fn(|p| pb.panel(block, jp0 + p));
+        // SAFETY: `arow` spans the full `k` range of the packed layout and
+        // each panel holds `NR * block_kc` values.
+        for kk in 0..pb.block_kc(block) {
             let av = S::splat(*arow.get_unchecked(k0 + kk));
-            for c in 0..nch {
-                vacc[c] = vacc[c].add(av.mul(S::load(&bvals[c * S::LANES..])));
+            for p in 0..P {
+                let bvals = bps[p].as_ptr().add(kk * NR);
+                for c in 0..nch {
+                    let b = S::load(core::slice::from_raw_parts(
+                        bvals.add(c * S::LANES),
+                        S::LANES,
+                    ));
+                    vacc[p][c] = vacc[p][c].add(av.mul(b));
+                }
             }
         }
     }
-    for c in 0..nch {
-        vacc[c].store(&mut acc[c * S::LANES..]);
+    for p in 0..P {
+        for c in 0..nch {
+            vacc[p][c].store(&mut acc[p][c * S::LANES..]);
+        }
+    }
+}
+
+/// [`cols_server_p`] for a runtime panel count.
+#[inline(always)]
+unsafe fn cols_server_v<S: SimdF32>(
+    arow: &[f32],
+    pb: &PackedB,
+    jp0: usize,
+    count: usize,
+    acc: &mut ColsAcc,
+) {
+    match count {
+        4 => cols_server_p::<S, 4>(arow, pb, jp0, acc),
+        3 => cols_server_p::<S, 3>(arow, pb, jp0, acc),
+        2 => cols_server_p::<S, 2>(arow, pb, jp0, acc),
+        _ => cols_server_p::<S, 1>(arow, pb, jp0, acc),
     }
 }
 
 /// Width-generic cols-driver Edge kernel: [`cols_edge_scalar`]'s fused
-/// `mul_add` chain per element; FMA backends only (see [`select_micro`]).
+/// `mul_add` chain per element, one panel at a time (the Edge profile
+/// models an in-order core); FMA backends only (see [`select_micro`]).
 #[inline(always)]
 #[allow(clippy::needless_range_loop)]
-unsafe fn cols_edge_v<S: SimdF32>(arow: &[f32], pb: &PackedB, jp_idx: usize, acc: &mut [f32; NR]) {
+unsafe fn cols_edge_v<S: SimdF32>(
+    arow: &[f32],
+    pb: &PackedB,
+    jp0: usize,
+    count: usize,
+    acc: &mut ColsAcc,
+) {
     debug_assert!(S::HAS_FMA);
     let nch = NR / S::LANES;
-    let mut vacc = [S::zero(); NR];
-    for c in 0..nch {
-        vacc[c] = S::load(&acc[c * S::LANES..]);
-    }
-    for block in 0..pb.k_blocks() {
-        let k0 = pb.block_k0(block);
-        let bp = pb.panel(block, jp_idx);
-        // SAFETY: `arow` spans the full `k` range of the packed layout.
-        for (kk, bvals) in bp.chunks_exact(NR).enumerate() {
-            let av = S::splat(*arow.get_unchecked(k0 + kk));
-            for c in 0..nch {
-                vacc[c] = av.mul_add(S::load(&bvals[c * S::LANES..]), vacc[c]);
+    for (jp_idx, acc) in (jp0..jp0 + count).zip(acc.iter_mut()) {
+        let mut vacc = [S::zero(); NR];
+        for c in 0..nch {
+            vacc[c] = S::load(&acc[c * S::LANES..]);
+        }
+        for block in 0..pb.k_blocks() {
+            let k0 = pb.block_k0(block);
+            let bp = pb.panel(block, jp_idx);
+            // SAFETY: `arow` spans the full `k` range of the packed layout.
+            for (kk, bvals) in bp.chunks_exact(NR).enumerate() {
+                let av = S::splat(*arow.get_unchecked(k0 + kk));
+                for c in 0..nch {
+                    vacc[c] = av.mul_add(S::load(&bvals[c * S::LANES..]), vacc[c]);
+                }
             }
         }
-    }
-    for c in 0..nch {
-        vacc[c].store(&mut acc[c * S::LANES..]);
+        for c in 0..nch {
+            vacc[c].store(&mut acc[c * S::LANES..]);
+        }
     }
 }
 
@@ -492,16 +562,34 @@ mod micro_x86 {
         micro_edge_v::<F32x8>(ap, bp, kc, acc)
     }
     #[target_feature(enable = "sse2")]
-    pub unsafe fn cols_server_sse2(arow: &[f32], pb: &PackedB, jp: usize, acc: &mut [f32; NR]) {
-        cols_server_v::<F32x4>(arow, pb, jp, acc)
+    pub unsafe fn cols_server_sse2(
+        arow: &[f32],
+        pb: &PackedB,
+        jp0: usize,
+        count: usize,
+        acc: &mut ColsAcc,
+    ) {
+        cols_server_v::<F32x4>(arow, pb, jp0, count, acc)
     }
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn cols_server_avx2(arow: &[f32], pb: &PackedB, jp: usize, acc: &mut [f32; NR]) {
-        cols_server_v::<F32x8>(arow, pb, jp, acc)
+    pub unsafe fn cols_server_avx2(
+        arow: &[f32],
+        pb: &PackedB,
+        jp0: usize,
+        count: usize,
+        acc: &mut ColsAcc,
+    ) {
+        cols_server_v::<F32x8>(arow, pb, jp0, count, acc)
     }
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn cols_edge_avx2(arow: &[f32], pb: &PackedB, jp: usize, acc: &mut [f32; NR]) {
-        cols_edge_v::<F32x8>(arow, pb, jp, acc)
+    pub unsafe fn cols_edge_avx2(
+        arow: &[f32],
+        pb: &PackedB,
+        jp0: usize,
+        count: usize,
+        acc: &mut ColsAcc,
+    ) {
+        cols_edge_v::<F32x8>(arow, pb, jp0, count, acc)
     }
 }
 
@@ -516,11 +604,23 @@ mod micro_neon {
     pub unsafe fn edge_neon(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
         micro_edge_v::<F32x4n>(ap, bp, kc, acc)
     }
-    pub unsafe fn cols_server_neon(arow: &[f32], pb: &PackedB, jp: usize, acc: &mut [f32; NR]) {
-        cols_server_v::<F32x4n>(arow, pb, jp, acc)
+    pub unsafe fn cols_server_neon(
+        arow: &[f32],
+        pb: &PackedB,
+        jp0: usize,
+        count: usize,
+        acc: &mut ColsAcc,
+    ) {
+        cols_server_v::<F32x4n>(arow, pb, jp0, count, acc)
     }
-    pub unsafe fn cols_edge_neon(arow: &[f32], pb: &PackedB, jp: usize, acc: &mut [f32; NR]) {
-        cols_edge_v::<F32x4n>(arow, pb, jp, acc)
+    pub unsafe fn cols_edge_neon(
+        arow: &[f32],
+        pb: &PackedB,
+        jp0: usize,
+        count: usize,
+        acc: &mut ColsAcc,
+    ) {
+        cols_edge_v::<F32x4n>(arow, pb, jp0, count, acc)
     }
 }
 
@@ -574,6 +674,32 @@ fn write_tile(
         orow.copy_from_slice(&acc[r][..cols]);
         let bias = ep.bias.map(|b| &b[col0..col0 + cols]);
         vecmath::epilogue_row(isa, orow, bias, ep.unary);
+    }
+}
+
+/// GEMM over a pre-packed right-hand side, with the driver picked by shape:
+/// `out[m, n] = epilogue(Σ_k a[m, k] · B[k, n])`.
+///
+/// Outputs shorter than one register tile (`m < MR`, e.g. a single request
+/// through a row-dynamic model) take [`gemm_packed_cols`], which computes
+/// exactly `m` rows from A in place; taller outputs take the row-strip
+/// [`gemm_packed`]. The two drivers are bitwise identical, so the choice
+/// changes only speed. Every kernel that owns a GEMM calls this; only the
+/// shape specializer, which races the drivers on measured shapes, calls
+/// them by name.
+pub fn gemm(
+    profile: ExecProfile,
+    a: &[f32],
+    pb: &PackedB,
+    m: usize,
+    out: &mut [f32],
+    sched: super::matmul::MatmulSchedule,
+    ep: &Epilogue,
+) {
+    if m < MR {
+        gemm_packed_cols(profile, a, pb, m, out, sched, ep)
+    } else {
+        gemm_packed(profile, a, pb, m, out, sched, ep)
     }
 }
 
@@ -697,7 +823,9 @@ pub fn gemm_packed_with_isa(
 /// `MR` accumulator lanes on zero-padding rows. This driver computes
 /// exactly `m` rows — A is read in place, never packed or padded — and
 /// parallelizes over the packed-B column panels instead, so short-row
-/// shapes neither waste lanes nor serialize.
+/// shapes neither waste lanes nor serialize. The Server kernel reduces
+/// `CP` panels per pass, so one row still keeps `CP` independent
+/// accumulator chains in flight.
 ///
 /// Each output element is still reduced in strictly increasing `k`
 /// order with a single accumulator per element (the Server loop mirrors
@@ -764,15 +892,16 @@ pub fn gemm_packed_cols_with_isa(
         move |p0, p1| {
             let _mk =
                 nimble_obs::span_detail("gemm.microkernel", nimble_obs::Category::Pool, p0 as u64);
-            for jp_idx in p0..p1 {
-                let j0 = jp_idx * NR;
-                let cols = NR.min(n - j0);
+            for jp0 in (p0..p1).step_by(CP) {
+                let count = CP.min(p1 - jp0);
+                let j0 = jp0 * NR;
+                let cols = (count * NR).min(n - j0);
                 for i in 0..m {
                     let arow = &a[i * k..(i + 1) * k];
-                    let mut acc = [0.0f32; NR];
+                    let mut acc: ColsAcc = [[0.0; NR]; CP];
                     // SAFETY: `cols_fn` was selected for an ISA that
                     // `sanitize_isa` verified is available.
-                    unsafe { cols_fn(arow, pb, jp_idx, &mut acc) };
+                    unsafe { cols_fn(arow, pb, jp0, count, &mut acc) };
                     // SAFETY: panel index ranges from parallel_for are
                     // disjoint, so each `[j0, j0+cols)` column window is
                     // written by exactly one task, and `out` outlives the
@@ -780,7 +909,7 @@ pub fn gemm_packed_cols_with_isa(
                     // completes.
                     let orow =
                         unsafe { std::slice::from_raw_parts_mut(base.get().add(i * n + j0), cols) };
-                    orow.copy_from_slice(&acc[..cols]);
+                    orow.copy_from_slice(&acc.as_flattened()[..cols]);
                     let bias = ep.bias.map(|b| &b[j0..j0 + cols]);
                     vecmath::epilogue_row(isa, orow, bias, ep.unary);
                 }

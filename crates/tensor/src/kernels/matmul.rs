@@ -7,6 +7,8 @@
 //! `NR`-column cache-resident panels (k-major, `tile_k`-blocked), each
 //! `tile_m` strip of the left-hand side is repacked into `MR`-row panels,
 //! and an `8×8` register-accumulator microkernel walks both packed streams.
+//! Outputs of fewer than 8 rows skip the A packing and run the short-row
+//! driver instead ([`super::gemm::gemm`] picks).
 //! [`MatmulSchedule`] picks the `tile_m`/`tile_n`/`tile_k` blocking, which
 //! changes measured latency (cache residency and panel-walk overhead) but —
 //! by construction — never the results: accumulators stay register-resident
@@ -18,7 +20,7 @@
 //! variants; `nimble-codegen` reuses the same packed panels when it builds
 //! residue-specialized symbolic kernels.
 
-use super::gemm::{gemm_packed, Epilogue, PackedB, UnaryOp};
+use super::gemm::{gemm, Epilogue, PackedB, UnaryOp};
 use crate::pool::{default_profile, ExecProfile};
 use crate::{Result, Tensor, TensorError};
 
@@ -137,7 +139,7 @@ pub fn dense_with_epilogue(
     let pb = crate::prepack::get_or_pack(weight, n, k, sched.tile_k)?;
     let mut out = vec![0.0f32; m * n];
     let ep = Epilogue { bias: bb, unary };
-    gemm_packed(profile, xa, &pb, m, &mut out, sched, &ep);
+    gemm(profile, xa, &pb, m, &mut out, sched, &ep);
     let mut out_shape = x.dims()[..x.rank() - 1].to_vec();
     out_shape.push(n);
     Tensor::from_vec_f32(out, &out_shape)
@@ -163,7 +165,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let sched = MatmulSchedule::for_profile(profile).sanitized();
     let pb = PackedB::pack_kn(b.as_f32()?, k, n, sched.tile_k);
     let mut out = vec![0.0f32; m * n];
-    gemm_packed(
+    gemm(
         profile,
         a.as_f32()?,
         &pb,
@@ -218,7 +220,7 @@ pub fn batch_matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
                 &fresh
             }
         };
-        gemm_packed(profile, a_slice, pb, m, out_slice, sched, &Epilogue::NONE);
+        gemm(profile, a_slice, pb, m, out_slice, sched, &Epilogue::NONE);
     }
     Tensor::from_vec_f32(out, &[ba, m, n])
 }

@@ -45,9 +45,7 @@ impl ExecProfile {
     /// Number of worker threads the profile may use.
     pub fn threads(self) -> usize {
         match self {
-            ExecProfile::Server => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            ExecProfile::Server => cpu_count(),
             ExecProfile::Edge => 1,
         }
     }
@@ -96,6 +94,17 @@ pub fn default_profile() -> ExecProfile {
         0 => ExecProfile::Server,
         _ => ExecProfile::Edge,
     }
+}
+
+/// Host CPU count, probed once per process.
+///
+/// `available_parallelism` reads cgroup files on Linux (tens of
+/// microseconds, mostly system time, plus an allocation), so it must not
+/// run per kernel call. The profile's thread count and the worker pool's
+/// size both come from this one probe.
+fn cpu_count() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Minimum total work (in "element-ops") below which parallel_for runs
@@ -204,10 +213,7 @@ fn worker_loop(shared: Arc<PoolShared>) {
 fn global_pool() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(|| {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .saturating_sub(1);
+        let workers = cpu_count() - 1;
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
             work_cv: Condvar::new(),
@@ -243,18 +249,15 @@ pub fn parallel_for<F>(profile: ExecProfile, n: usize, work_per_item: usize, f: 
 where
     F: Fn(usize, usize) + Sync,
 {
+    // Server's `threads()` is `pool_workers() + 1` (one cached probe), so
+    // `threads <= 1` covers both the Edge profile and a single-CPU host.
     let threads = profile.threads();
-    if threads <= 1 || n < 2 || n.saturating_mul(work_per_item) < PARALLEL_THRESHOLD {
+    if n < 2 || n.saturating_mul(work_per_item) < PARALLEL_THRESHOLD || threads <= 1 {
         f(0, n);
         return;
     }
     let pool = global_pool();
-    if pool.workers == 0 {
-        f(0, n);
-        return;
-    }
-    let participants = (pool.workers + 1).min(threads);
-    let n_chunks = (participants * 4).min(n);
+    let n_chunks = (threads * 4).min(n);
     let chunk = n.div_ceil(n_chunks);
     let n_chunks = n.div_ceil(chunk);
     // SAFETY: see `Job::task` — the closure outlives the job because this
@@ -351,6 +354,13 @@ mod tests {
         assert!(ExecProfile::Server.threads() >= 1);
         assert!(ExecProfile::Edge.tile() < ExecProfile::Server.tile());
         assert_eq!(ExecProfile::default(), ExecProfile::Server);
+    }
+
+    #[test]
+    fn one_cpu_count_probe() {
+        // The profile's thread budget and the pool size share one probe:
+        // the pool parks one worker per CPU beside the submitter.
+        assert_eq!(ExecProfile::Server.threads(), pool_workers() + 1);
     }
 
     #[test]

@@ -475,6 +475,10 @@ impl VirtualMachine {
             let span_t0 = if flat_traced { nimble_obs::now_ns() } else { 0 };
             let mut span_arg = 0u64;
             let mut category = Category::Other;
+            // Time inside this instruction that the profiler already
+            // recorded elsewhere (a callee's instructions, a device sync);
+            // subtracted so each nanosecond lands in exactly one bucket.
+            let mut nested_ns = 0u64;
             let mut next_pc = pc + 1;
             let mut ret: Option<Object> = None;
 
@@ -489,7 +493,9 @@ impl VirtualMachine {
                     let _s = nimble_obs::span_full("vm.invoke", ObsCat::Vm, *func as u64);
                     let call_args: Vec<Object> =
                         args.iter().map(|&r| regs[r as usize].clone()).collect();
+                    let before = session.profiler.timed_ns();
                     let out = self.exec(*func, call_args, session, depth + 1)?;
+                    nested_ns = session.profiler.timed_ns() - before;
                     regs[*dst as usize] = out;
                 }
                 Instruction::InvokeClosure { closure, args, dst } => {
@@ -498,7 +504,9 @@ impl VirtualMachine {
                         nimble_obs::span_full("vm.invoke_closure", ObsCat::Vm, clo.func as u64);
                     let mut call_args = clo.captures.clone();
                     call_args.extend(args.iter().map(|&r| regs[r as usize].clone()));
+                    let before = session.profiler.timed_ns();
                     let out = self.exec(clo.func, call_args, session, depth + 1)?;
+                    nested_ns = session.profiler.timed_ns() - before;
                     regs[*dst as usize] = out;
                 }
                 Instruction::InvokePacked {
@@ -656,7 +664,9 @@ impl VirtualMachine {
                     if matches!(obj, Object::Future(_)) && dst_dev == DeviceId::Cpu {
                         let sync_start = Instant::now();
                         let t = obj.wait_tensor()?;
-                        session.profiler.record_sync(sync_start.elapsed());
+                        let sync = sync_start.elapsed();
+                        session.profiler.record_sync(sync);
+                        nested_ns = sync.as_nanos() as u64;
                         let copied = copy_tensor(&self.devices, &t, src_dev, dst_dev);
                         regs[*dst as usize] = Object::tensor_on(copied, dst_dev);
                     } else {
@@ -701,9 +711,10 @@ impl VirtualMachine {
                 );
             }
             if let Some(start) = start {
-                session
-                    .profiler
-                    .record(inst.opcode(), category, start.elapsed());
+                let self_time = start
+                    .elapsed()
+                    .saturating_sub(std::time::Duration::from_nanos(nested_ns));
+                session.profiler.record(inst.opcode(), category, self_time);
             } else {
                 session
                     .profiler

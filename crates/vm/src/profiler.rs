@@ -4,6 +4,13 @@
 //! `InvokePacked` instructions doing real compute) and "others" (shape
 //! functions, allocation, dispatch, control flow). This profiler
 //! accumulates exactly those buckets plus per-opcode counts.
+//!
+//! Each nanosecond lands in one bucket: a call instruction (`Invoke`,
+//! `InvokeClosure`) records only its self time, because its callee's
+//! instructions record their own, and a device copy that waits on the
+//! stream leaves the wait to [`Profiler::record_sync`]. The buckets of a
+//! run therefore sum to at most its wall time, however deep a recursive
+//! model (LSTM, Tree-LSTM) calls.
 
 use crate::isa::{opcode_name, NUM_OPCODES};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -236,6 +243,13 @@ impl Profiler {
             Category::ShapeFunc => self.shape_func_ns += ns,
             Category::Other => self.other_ns += ns,
         }
+    }
+
+    /// Total time recorded so far across the three buckets (ns). The
+    /// interpreter reads it around a call to learn how much of the call's
+    /// wall time its callee already recorded.
+    pub fn timed_ns(&self) -> u64 {
+        self.kernel_ns + self.shape_func_ns + self.other_ns
     }
 
     /// Attribute host-blocking synchronization (waiting for the device

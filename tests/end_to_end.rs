@@ -215,3 +215,38 @@ fn bench_systems_cross_validate() {
     let fold = nimble::frameworks::fold::tree_lstm_forward(&model, &tree);
     assert_close(&fold, &want, 1e-4, "fold");
 }
+
+#[test]
+fn profiler_buckets_fit_in_wall_time_on_recursion() {
+    // The Tree-LSTM recurses once per tree level. A call instruction that
+    // recorded its callee's time again would count the deep levels once
+    // per enclosing call and push the buckets past the wall time.
+    let model = TreeLstmModel::new(TreeLstmConfig {
+        input: 8,
+        hidden: 8,
+        classes: 3,
+        seed: 37,
+    });
+    let (exe, _) = compile(&model.module(), &CompileOptions::default()).unwrap();
+    let vm = VirtualMachine::new(exe, Arc::new(DeviceSet::cpu_only())).unwrap();
+    vm.set_profiling(true);
+    let mut session = vm.session();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+    for leaves in [2, 9, 24] {
+        let tree = model.random_tree(&mut rng, leaves);
+        let start = std::time::Instant::now();
+        vm.run_in(&mut session, "main", vec![tree.to_object()])
+            .unwrap();
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        let r = session.last_report();
+        let buckets = r.kernel_ns + r.shape_func_ns + r.other_ns;
+        assert!(r.counts.iter().sum::<u64>() > 0);
+        assert!(
+            buckets <= wall_ns,
+            "{leaves} leaves: kernel {} + shape func {} + other {} = {buckets} ns > wall {wall_ns} ns",
+            r.kernel_ns,
+            r.shape_func_ns,
+            r.other_ns
+        );
+    }
+}
