@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nimble_core::{compile, CompileOptions};
 use nimble_device::DeviceSet;
 use nimble_models::{BertConfig, BertModel};
-use nimble_vm::{Object, VirtualMachine};
+use nimble_vm::{Object, Session, StorageArena, VirtualMachine};
 use rand::SeedableRng;
 use std::sync::Arc;
 
@@ -27,12 +27,14 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     for pooling in [true, false] {
         let devices = Arc::new(DeviceSet::cpu_only());
-        devices.set_pooling(pooling);
         let vm = VirtualMachine::new(exe.clone(), devices).unwrap();
-        let name = if pooling { "pooled" } else { "unpooled" };
+        let arena = pooling.then(|| Arc::new(StorageArena::new()));
+        let mut session = Session::with_lane_and_arena(0, arena);
+        let name = if pooling { "arena" } else { "no_arena" };
         group.bench_function(name, |b| {
             b.iter(|| {
-                vm.run(
+                vm.run_in(
+                    &mut session,
                     "main",
                     vec![Object::tensor(tok.clone()), Object::tensor(pos.clone())],
                 )

@@ -7,7 +7,7 @@ use nimble_bench::harness::{measure, render_table, Effort};
 use nimble_core::{compile, CompileOptions};
 use nimble_device::DeviceSet;
 use nimble_models::{BertConfig, BertModel};
-use nimble_vm::{Object, VirtualMachine};
+use nimble_vm::{Object, Session, StorageArena, VirtualMachine};
 use rand::SeedableRng;
 use std::sync::Arc;
 
@@ -61,11 +61,13 @@ fn main() {
     for (name, opts, pooling) in configs {
         let (exe, report) = compile(&module, &opts).expect("compile");
         let devices = Arc::new(DeviceSet::cpu_only());
-        devices.set_pooling(pooling);
         let vm = VirtualMachine::new(exe, devices).expect("vm");
+        let arena = pooling.then(|| Arc::new(StorageArena::new()));
+        let mut session = Session::with_lane_and_arena(0, arena);
         let d = measure(effort.warmup, effort.iters, || {
             std::hint::black_box(
-                vm.run(
+                vm.run_in(
+                    &mut session,
                     "main",
                     vec![Object::tensor(tok.clone()), Object::tensor(pos.clone())],
                 )

@@ -1,14 +1,15 @@
 //! Session storage arena: allocation reuse across dynamic-shape requests.
 //!
 //! Runs the LSTM (dynamic sequence length) and BERT (dynamic batch) models
-//! through one persistent VM session twice — arena **off** (every
-//! `AllocStorage`/`AllocTensorReg` goes to the shared device pool) and
-//! arena **on** (the session's size-classed free list recycles blocks
-//! across requests) — and reports, after a warm-up pass:
+//! through one persistent VM session twice — arena **off** (every planned
+//! tensor from `AllocTensor`/`AllocTensorReg` gets a freshly allocated
+//! element buffer) and arena **on** (the session's size-classed free lists
+//! recycle the element buffers kernels write into) — and reports, after a
+//! warm-up pass:
 //!
-//! * pool allocations per request (trips to the lock-protected shared
-//!   device-pool allocator — the system allocation path the arena
-//!   short-circuits), plus how many of those were fresh host allocations;
+//! * element-buffer allocations per request — the real tensor-data
+//!   allocations: every planned tensor with the arena off, the arena's
+//!   misses with it on;
 //! * arena hit rate and recycled bytes;
 //! * requests/sec for the measured passes.
 //!
@@ -16,16 +17,17 @@
 //! proven not to change a single bit of any result.
 //!
 //! The default (smoke) effort asserts the invariants — identical bits,
-//! nonzero reuse, and a ≥5x reduction in pool allocations per request on
-//! the LSTM — and is wired into CI; `--full` runs the larger mix recorded
-//! in EXPERIMENTS.md.
+//! nonzero reuse, and a ≥5x reduction in element-buffer allocations per
+//! request on the LSTM — and is wired into CI; `--full` runs the larger
+//! mix recorded in EXPERIMENTS.md.
 
 use nimble_bench::harness::Effort;
 use nimble_bench::workload::mrpc_lengths;
 use nimble_core::{compile, CompileOptions};
-use nimble_device::{DeviceId, DeviceSet};
+use nimble_device::DeviceSet;
 use nimble_models::data::list_object;
 use nimble_models::{BertConfig, BertModel, LstmConfig, LstmModel};
+use nimble_vm::isa::opcode_name;
 use nimble_vm::{Object, Session, StorageArena, VirtualMachine};
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -93,10 +95,8 @@ fn bits_of(obj: &Object) -> Vec<u32> {
 }
 
 struct ModeResult {
-    /// Shared-pool allocator calls per request, after warm-up.
-    pool_allocs_per_req: f64,
-    /// Fresh host allocations (pool misses) per request, after warm-up.
-    fresh_per_req: f64,
+    /// Fresh element-buffer allocations per request, after warm-up.
+    buffers_per_req: f64,
     req_per_s: f64,
     hit_rate: f64,
     recycled_bytes: u64,
@@ -104,20 +104,30 @@ struct ModeResult {
     bits: Vec<Vec<u32>>,
 }
 
+/// Planned tensors allocated so far (`AllocTensor` + `AllocTensorReg`
+/// executions, from the VM's always-on instruction counts).
+fn planned_tensors(vm: &VirtualMachine) -> u64 {
+    let counts = vm.profile_report().counts;
+    (0..counts.len())
+        .filter(|&op| matches!(opcode_name(op as u8), "AllocTensor" | "AllocTensorReg"))
+        .map(|op| counts[op])
+        .sum()
+}
+
 /// Replay the workload through one persistent session: a warm-up pass,
-/// then `iters` measured passes. Pool/arena counters are read as deltas
-/// around the measured passes only, so cold-start allocation is excluded
-/// in both modes alike.
+/// then `iters` measured passes. Counters are read as deltas around the
+/// measured passes only, so cold-start allocation is excluded in both
+/// modes alike.
 fn run_mode(wl: &Workload, arena: Option<Arc<StorageArena>>, iters: usize) -> ModeResult {
     let devices = Arc::new(DeviceSet::cpu_only());
     let vm = VirtualMachine::new(wl.exe.clone(), Arc::clone(&devices)).expect("load");
+    let arena_on = arena.is_some();
     let mut session = Session::with_lane_and_arena(0, arena);
     for req in &wl.requests {
         vm.run_in(&mut session, "main", req.clone())
             .expect("warmup");
     }
-    let pool = devices.pool(DeviceId::Cpu);
-    let p0 = pool.stats();
+    let t0 = planned_tensors(&vm);
     let a0 = session.arena_stats();
     let mut bits = Vec::new();
     let start = Instant::now();
@@ -130,13 +140,18 @@ fn run_mode(wl: &Workload, arena: Option<Arc<StorageArena>>, iters: usize) -> Mo
         }
     }
     let wall = start.elapsed();
-    let p1 = pool.stats();
     let a1 = session.arena_stats();
     let nreq = (wl.requests.len() * iters) as f64;
     let total = (a1.hits + a1.misses) - (a0.hits + a0.misses);
+    // Without an arena every planned tensor is a fresh buffer; with one,
+    // only its misses are.
+    let fresh = if arena_on {
+        a1.misses - a0.misses
+    } else {
+        planned_tensors(&vm) - t0
+    };
     ModeResult {
-        pool_allocs_per_req: (p1.allocs - p0.allocs) as f64 / nreq,
-        fresh_per_req: ((p1.allocs - p0.allocs) - (p1.pool_hits - p0.pool_hits)) as f64 / nreq,
+        buffers_per_req: fresh as f64 / nreq,
         req_per_s: nreq / wall.as_secs_f64(),
         hit_rate: if total == 0 {
             0.0
@@ -168,26 +183,24 @@ fn main() {
             "{}: arena-on outputs differ from arena-off",
             wl.name
         );
-        let reduction = if on.pool_allocs_per_req == 0.0 {
+        let reduction = if on.buffers_per_req == 0.0 {
             f64::INFINITY
         } else {
-            off.pool_allocs_per_req / on.pool_allocs_per_req
+            off.buffers_per_req / on.buffers_per_req
         };
         let reduction_label = if reduction.is_infinite() {
-            format!("{:.0}x -> 0", off.pool_allocs_per_req)
+            format!("{:.0}x -> 0", off.buffers_per_req)
         } else {
             format!("{reduction:.1}x")
         };
         println!(
-            "  {:>4}: off {:>6.1} pool-allocs/req ({:>5.1} fresh) {:>7.1} req/s | \
-             on {:>5.1} pool-allocs/req ({:>4.1} fresh) {:>7.1} req/s | \
+            "  {:>4}: off {:>6.1} buffer-allocs/req {:>7.1} req/s | \
+             on {:>5.1} buffer-allocs/req {:>7.1} req/s | \
              hit-rate {:>5.1}% recycled {:>6} KiB | reduction {} | bits identical",
             wl.name,
-            off.pool_allocs_per_req,
-            off.fresh_per_req,
+            off.buffers_per_req,
             off.req_per_s,
-            on.pool_allocs_per_req,
-            on.fresh_per_req,
+            on.buffers_per_req,
             on.req_per_s,
             on.hit_rate * 100.0,
             on.recycled_bytes / 1024,
@@ -201,7 +214,7 @@ fn main() {
         if wl.name == "LSTM" {
             assert!(
                 reduction >= 5.0,
-                "{}: expected >=5x fewer pool allocations per request, got {:.1}x",
+                "{}: expected >=5x fewer element-buffer allocations per request, got {:.1}x",
                 wl.name,
                 reduction
             );

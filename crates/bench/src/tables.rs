@@ -10,13 +10,14 @@ use crate::systems;
 use crate::workload;
 use nimble_codegen::symbolic::{dense_symbolic, DispatchLevel};
 use nimble_core::{compile, CompileOptions, StaticGraph};
-use nimble_device::{DeviceId, DeviceSet};
+use nimble_device::DeviceSet;
 use nimble_frameworks::eager;
 use nimble_models::{
     cv, BertConfig, BertModel, LstmConfig, LstmModel, TreeLstmConfig, TreeLstmModel,
 };
 use nimble_tensor::Tensor;
-use nimble_vm::{Object, VirtualMachine};
+use nimble_vm::isa::opcode_name;
+use nimble_vm::{Object, Session, StorageArena, VirtualMachine};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -432,41 +433,48 @@ pub fn memplan_study(effort: Effort) -> Vec<TableResult> {
         ),
     ];
 
-    // Runtime effect: pooled vs unpooled allocation latency over a run.
+    // Runtime effect: element buffers recycled by the session arena vs a
+    // fresh buffer per planned tensor, over repeated runs.
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(41);
     let ids = model.random_tokens(&mut rng, 32);
     let (exe, _) = compile(&module, &CompileOptions::default()).expect("compile");
     let mut alloc_lat = Vec::new();
-    for pooling in [true, false] {
+    for arena in [Some(Arc::new(StorageArena::new())), None] {
         let devices = Arc::new(DeviceSet::cpu_only());
-        devices.set_pooling(pooling);
         let vm = VirtualMachine::new(exe.clone(), Arc::clone(&devices)).expect("vm");
+        let mut session = Session::with_lane_and_arena(0, arena.clone());
         let (tok, pos) = model.inputs(&ids);
         let d = measure(effort.warmup, effort.iters, || {
             std::hint::black_box(
-                vm.run(
+                vm.run_in(
+                    &mut session,
                     "main",
                     vec![Object::tensor(tok.clone()), Object::tensor(pos.clone())],
                 )
                 .expect("run"),
             );
         });
-        let stats = devices.pool(DeviceId::Cpu).stats();
-        alloc_lat.push((pooling, d, stats));
+        // Fresh element buffers: the arena's misses, or every planned
+        // tensor without one.
+        let fresh = match &arena {
+            Some(a) => a.stats().misses,
+            None => {
+                let counts = vm.profile_report().counts;
+                (0..counts.len())
+                    .filter(|&op| matches!(opcode_name(op as u8), "AllocTensor" | "AllocTensorReg"))
+                    .map(|op| counts[op])
+                    .sum()
+            }
+        };
+        alloc_lat.push((d, fresh, session.arena_stats()));
     }
     rows.push((
-        "run w/ pooling".into(),
-        vec![
-            alloc_lat[0].2.allocs as f64,
-            alloc_lat[0].1.as_secs_f64() * 1e3,
-        ],
+        "run w/ arena".into(),
+        vec![alloc_lat[0].1 as f64, alloc_lat[0].0.as_secs_f64() * 1e3],
     ));
     rows.push((
-        "run w/o pooling".into(),
-        vec![
-            alloc_lat[1].2.allocs as f64,
-            alloc_lat[1].1.as_secs_f64() * 1e3,
-        ],
+        "run w/o arena".into(),
+        vec![alloc_lat[1].1 as f64, alloc_lat[1].0.as_secs_f64() * 1e3],
     ));
     out.push(TableResult {
         title: "Memory planning (BERT): storage allocations and cost".into(),
@@ -475,8 +483,8 @@ pub fn memplan_study(effort: Effort) -> Vec<TableResult> {
         notes: vec![
             format!("coalescing removes {reduction:.0}% of storage allocations (paper: 47%)"),
             format!(
-                "pool hit rate with pooling: {:.0}%",
-                100.0 * alloc_lat[0].2.pool_hits as f64 / alloc_lat[0].2.allocs.max(1) as f64
+                "arena hit rate over all runs: {:.0}% (run rows: fresh element buffers, all runs)",
+                100.0 * alloc_lat[0].2.hit_rate()
             ),
         ],
     });
@@ -488,10 +496,12 @@ pub fn memplan_study(effort: Effort) -> Vec<TableResult> {
         let (exe, _) = compile(&module, &CompileOptions::default()).expect("compile");
         let devices = Arc::new(DeviceSet::cpu_only());
         let vm = VirtualMachine::new(exe, Arc::clone(&devices)).expect("vm");
+        let mut session = Session::with_lane_and_arena(0, Some(Arc::new(StorageArena::new())));
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(43);
         let img = Tensor::rand_f32(&mut rng, &[1, 3, 32, 32], 1.0);
-        vm.run("main", vec![Object::tensor(img)]).expect("run");
-        let nimble_peak = devices.pool(DeviceId::Cpu).stats().peak_live_bytes;
+        vm.run_in(&mut session, "main", vec![Object::tensor(img)])
+            .expect("run");
+        let nimble_peak = session.arena_stats().high_water_bytes;
         let static_bytes = graph.arena_bytes();
         let overhead = 100.0 * (nimble_peak as f64 / static_bytes.max(1) as f64 - 1.0);
         rows.push((
@@ -504,7 +514,7 @@ pub fn memplan_study(effort: Effort) -> Vec<TableResult> {
         ));
     }
     out.push(TableResult {
-        title: "Memory footprint: static plan vs Nimble pool peak (KiB)".into(),
+        title: "Memory footprint: static plan vs Nimble arena peak (KiB)".into(),
         header: vec![
             "model".into(),
             "TVM-static".into(),

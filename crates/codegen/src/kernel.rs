@@ -1,7 +1,10 @@
 //! Compiled kernels: the executable payload behind `InvokePacked`.
 //!
-//! A [`Kernel`] is a named closure from input tensors to output tensors.
-//! Three kinds are produced:
+//! A [`Kernel`] is a named closure from input tensors to output tensors,
+//! in destination-passing style: [`Kernel::invoke_into`] writes planned
+//! outputs in place (the VM's `invoke_mut` convention, paper §4.3) and
+//! [`Kernel::invoke`] is a thin wrapper that lets the same closure allocate
+//! fresh outputs. Three kinds are produced:
 //!
 //! * **plain operator kernels** — a thin closure over the registry's
 //!   reference implementation;
@@ -49,7 +52,7 @@ impl From<nimble_ir::IrError> for KernelError {
     }
 }
 
-type KernelFn = dyn Fn(&[Tensor]) -> Result<Vec<Tensor>, KernelError> + Send + Sync;
+type KernelFn = dyn Fn(&[Tensor], &mut Vec<Tensor>) -> Result<(), KernelError> + Send + Sync;
 
 /// Where a dense-anchored kernel finds one of its GEMM operands at invoke
 /// time: a positional kernel input, or a constant folded into the kernel
@@ -120,10 +123,11 @@ impl fmt::Debug for Kernel {
 }
 
 impl Kernel {
-    /// Wrap a closure as a kernel.
+    /// Wrap a destination-passing closure as a kernel; the closure's
+    /// output contract is [`Kernel::invoke_into`]'s.
     pub fn new(
         name: &str,
-        f: impl Fn(&[Tensor]) -> Result<Vec<Tensor>, KernelError> + Send + Sync + 'static,
+        f: impl Fn(&[Tensor], &mut Vec<Tensor>) -> Result<(), KernelError> + Send + Sync + 'static,
     ) -> Kernel {
         Kernel {
             name: name.into(),
@@ -149,14 +153,32 @@ impl Kernel {
         &self.name
     }
 
-    /// Execute the kernel.
+    /// Execute the kernel into `outputs`: either one planned tensor per
+    /// output, which the kernel checks against the dims and dtype it
+    /// computes and then overwrites in full, or an empty vector, which
+    /// receives freshly allocated outputs (see `nimble_tensor::dest`).
     ///
     /// # Errors
     /// Propagates shape/dtype failures from the underlying computation —
     /// these are the run-time residue of the gradual type checks deferred
-    /// by Section 4.1.
+    /// by Section 4.1 — and planned outputs that do not match.
+    pub fn invoke_into(
+        &self,
+        inputs: &[Tensor],
+        outputs: &mut Vec<Tensor>,
+    ) -> Result<(), KernelError> {
+        (self.f)(inputs, outputs)
+    }
+
+    /// Execute the kernel with fresh outputs — for callers without a
+    /// memory plan (verification, the static runtime, tests).
+    ///
+    /// # Errors
+    /// As [`Kernel::invoke_into`].
     pub fn invoke(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, KernelError> {
-        (self.f)(inputs)
+        let mut outputs = Vec::new();
+        self.invoke_into(inputs, &mut outputs)?;
+        Ok(outputs)
     }
 
     /// Compile a plain operator call into a kernel.
@@ -173,9 +195,9 @@ impl Kernel {
         }
         let def = op::lookup(name)?;
         let attrs = attrs.clone();
-        let exec = def.execute;
-        Ok(Kernel::new(name, move |inputs| {
-            exec(inputs, &attrs).map_err(KernelError::from)
+        Ok(Kernel::new(name, move |inputs, outs| {
+            def.execute_into(inputs, &attrs, outs)
+                .map_err(KernelError::from)
         }))
     }
 
@@ -183,7 +205,7 @@ impl Kernel {
     pub fn dense_symbolic(level: DispatchLevel) -> Kernel {
         Kernel::new(
             &format!("dense.symbolic[{}]", level.label()),
-            move |inputs| {
+            move |inputs, outs| {
                 let x = inputs
                     .first()
                     .ok_or_else(|| KernelError("dense: missing input".into()))?;
@@ -191,7 +213,7 @@ impl Kernel {
                     .get(1)
                     .ok_or_else(|| KernelError("dense: missing weight".into()))?;
                 let d = SymbolicDense::new(w.clone(), inputs.get(2).cloned(), level)?;
-                Ok(vec![d.run(x)?])
+                Ok(d.run_into(x, outs)?)
             },
         )
         .with_spec(DenseSpec {
@@ -221,10 +243,9 @@ impl Kernel {
         }
         // General path: precompile to positional steps.
         struct Step {
-            exec: nimble_ir::op::ExecFn,
+            def: &'static nimble_ir::op::OpDef,
             attrs: Attrs,
             args: Vec<Src>,
-            name: &'static str,
         }
         let mut pos_of_param: HashMap<u32, usize> = HashMap::new();
         for (i, p) in func.params.iter().enumerate() {
@@ -256,10 +277,9 @@ impl Kernel {
                         .collect::<Result<Vec<_>, _>>()?;
                     pos_of_member.insert(var.id, steps.len());
                     steps.push(Step {
-                        exec: def.execute,
+                        def,
                         attrs: attrs.clone(),
                         args: srcs,
-                        name: def.name,
                     });
                     cur = body.clone();
                 }
@@ -283,11 +303,15 @@ impl Kernel {
         }
         let name = format!(
             "fused({})",
-            steps.iter().map(|s| s.name).collect::<Vec<_>>().join("+")
+            steps
+                .iter()
+                .map(|s| s.def.name)
+                .collect::<Vec<_>>()
+                .join("+")
         );
         let num_params = func.params.len();
-        let sweep = Sweep::compile(steps.iter().map(|s| (s.name, &s.args[..])));
-        Ok(Kernel::new(&name, move |inputs| {
+        let sweep = Sweep::compile(steps.iter().map(|s| (s.def.name, &s.args[..])));
+        Ok(Kernel::new(&name, move |inputs, outs| {
             if inputs.len() != num_params {
                 return Err(KernelError(format!(
                     "primitive arity mismatch: {} vs {num_params}",
@@ -297,14 +321,15 @@ impl Kernel {
             // One tiled sweep when the group and its operand shapes allow
             // it — the loop fusion a compiled kernel performs.
             if let Some(sweep) = &sweep {
-                if let Some(out) = sweep.run(inputs)? {
-                    return Ok(vec![out]);
+                if sweep.run_into(inputs, outs)? {
+                    return Ok(());
                 }
             }
-            // Fallback: member-at-a-time interpretation.
+            // Fallback: member-at-a-time interpretation; the last member
+            // writes the kernel's output.
             let mut members: Vec<Tensor> = Vec::with_capacity(steps.len());
             let mut scratch: Vec<Tensor> = Vec::new();
-            for step in &steps {
+            for (i, step) in steps.iter().enumerate() {
                 scratch.clear();
                 for src in &step.args {
                     scratch.push(match src {
@@ -313,14 +338,16 @@ impl Kernel {
                         Src::Const(t) => t.clone(),
                     });
                 }
-                let outs = (step.exec)(&scratch, &step.attrs)?;
-                let out = outs
+                if i + 1 == steps.len() {
+                    return Ok(step.def.execute_into(&scratch, &step.attrs, outs)?);
+                }
+                let out = (step.def.execute)(&scratch, &step.attrs)?
                     .into_iter()
                     .next()
-                    .ok_or_else(|| KernelError(format!("{} produced no output", step.name)))?;
+                    .ok_or_else(|| KernelError(format!("{} produced no output", step.def.name)))?;
                 members.push(out);
             }
-            Ok(vec![members.pop().expect("at least one member")])
+            unreachable!("a primitive has at least one member")
         }))
     }
 }
@@ -438,67 +465,68 @@ fn compile_unary_chain(func: &Function) -> Result<Option<Kernel>, KernelError> {
         .map(|(n, _, _)| n.as_str())
         .collect::<Vec<_>>()
         .join("+");
+    let to_src = |s: &Result<usize, Tensor>| match s {
+        Ok(i) => ArgSrc::Input(*i),
+        Err(c) => ArgSrc::Const(c.clone()),
+    };
     if anchor_name == "dense" && (arg_sources.len() == 2 || arg_sources.len() == 3) {
         // Deeper fusion for the hottest anchor: the bias add and the whole
         // unary chain run inside the GEMM's write-out pass, so the output
         // is touched exactly once (no post-anchor sweep at all).
         let name = format!("fused(dense+{chain_label} epilogue)");
-        let to_src = |s: &Result<usize, Tensor>| match s {
-            Ok(i) => ArgSrc::Input(*i),
-            Err(c) => ArgSrc::Const(c.clone()),
-        };
         let spec = DenseSpec {
             x: to_src(&arg_sources[0]),
             w: to_src(&arg_sources[1]),
             bias: arg_sources.get(2).map(to_src),
-            unary: fns.clone(),
+            unary: fns,
         };
+        let ops = spec.clone();
         return Ok(Some(
-            Kernel::new(&name, move |inputs| {
-                let gathered: Vec<Tensor> = arg_sources
-                    .iter()
-                    .map(|src| match src {
-                        Ok(i) => inputs
-                            .get(*i)
-                            .cloned()
-                            .ok_or_else(|| KernelError("missing primitive input".into())),
-                        Err(c) => Ok(c.clone()),
-                    })
-                    .collect::<Result<_, _>>()?;
-                let out = nimble_tensor::kernels::dense_with_epilogue(
-                    &gathered[0],
-                    &gathered[1],
-                    gathered.get(2),
-                    &fns,
-                )?;
-                Ok(vec![out])
+            Kernel::new(&name, move |inputs, outs| {
+                let missing = || KernelError("missing primitive input".into());
+                let x = ops.x.resolve(inputs).ok_or_else(missing)?;
+                let w = ops.w.resolve(inputs).ok_or_else(missing)?;
+                let bias = match &ops.bias {
+                    Some(b) => Some(b.resolve(inputs).ok_or_else(missing)?),
+                    None => None,
+                };
+                Ok(nimble_tensor::kernels::dense_with_epilogue_into(
+                    x, w, bias, &ops.unary, outs,
+                )?)
             })
             .with_spec(spec),
         ));
     }
-    let exec = def.execute;
     let name = format!("fused({anchor_name}+{chain_label} inplace)");
-    Ok(Some(Kernel::new(&name, move |inputs| {
-        let gathered: Vec<Tensor> = arg_sources
-            .iter()
-            .map(|src| match src {
-                Ok(i) => inputs
-                    .get(*i)
-                    .cloned()
-                    .ok_or_else(|| KernelError("missing primitive input".into())),
-                Err(c) => Ok(c.clone()),
-            })
-            .collect::<Result<_, _>>()?;
-        let outs = exec(&gathered, &anchor_attrs)?;
-        let mut out = outs
-            .into_iter()
-            .next()
-            .ok_or_else(|| KernelError("anchor produced no output".into()))?;
+    // The anchor usually reads the kernel's inputs in order; then they
+    // pass straight through instead of being gathered per call.
+    let in_order = arg_sources
+        .iter()
+        .enumerate()
+        .all(|(i, s)| matches!(s, Ok(j) if *j == i));
+    let sources: Vec<ArgSrc> = arg_sources.iter().map(to_src).collect();
+    Ok(Some(Kernel::new(&name, move |inputs, outs| {
+        if in_order && inputs.len() == sources.len() {
+            def.execute_into(inputs, &anchor_attrs, outs)?;
+        } else {
+            let gathered: Vec<Tensor> = sources
+                .iter()
+                .map(|src| {
+                    src.resolve(inputs)
+                        .cloned()
+                        .ok_or_else(|| KernelError("missing primitive input".into()))
+                })
+                .collect::<Result<_, _>>()?;
+            def.execute_into(&gathered, &anchor_attrs, outs)?;
+        }
         // One in-place sweep applying the whole unary chain, vectorized on
         // the active backend through the shared epilogue-row primitive.
+        let out = outs
+            .first_mut()
+            .ok_or_else(|| KernelError("anchor produced no output".into()))?;
         let buf = out.as_f32_mut()?;
         nimble_simd::vecmath::epilogue_row(nimble_simd::active(), buf, None, &fns);
-        Ok(vec![out])
+        Ok(())
     })))
 }
 

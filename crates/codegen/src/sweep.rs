@@ -4,7 +4,7 @@
 //! leading `dense` anchor — runs as one sweep over the output in tiles of
 //! [`TILE`] elements. Each member writes its tile into a stack buffer that
 //! later members read, and the last member writes straight into the
-//! output, so the output is the call's only allocation and no
+//! output — the planned tensor the VM passes in, or a fresh one — so no
 //! intermediate tensor is ever built.
 //!
 //! **Bitwise identity with member-at-a-time interpretation.** The sweep
@@ -18,14 +18,15 @@
 //!   standalone kernels call it over the whole tensor, and its lanes are
 //!   independent, so tiling the slice changes no bit;
 //! * a `dense` anchor is computed by
-//!   [`nimble_tensor::kernels::dense_with_epilogue`], the registry's own
-//!   dense kernel, and the sweep then runs in place over its output.
+//!   [`nimble_tensor::kernels::dense_write`], the registry's own dense
+//!   kernel, straight into the output, and the sweep then runs in place
+//!   over it.
 //!
 //! Operands may differ only by leading 1s (a `[n]` bias against a `[1, n]`
 //! row) or be single-element scalars; then a flat index addresses the same
 //! element in every operand. Any other shape mix, a non-`f32` operand or a
-//! rank above [`MAX_RANK`] makes [`Sweep::run`] decline, and the caller
-//! interprets the group member by member.
+//! rank above [`MAX_RANK`] makes [`Sweep::run_into`] decline, and the
+//! caller interprets the group member by member.
 
 use crate::kernel::KernelError;
 use nimble_simd::vecmath::{self, UnaryOp};
@@ -134,23 +135,28 @@ impl Sweep {
             .then_some(Sweep { members: plan })
     }
 
-    /// Evaluate the group over `inputs` in one tiled sweep. `Ok(None)`
-    /// means the operand shapes or dtypes are outside what the sweep
-    /// handles and the caller must interpret the group member by member.
+    /// Evaluate the group over `inputs` in one tiled sweep into output 0
+    /// of `outs` (see `nimble_tensor::dest`). `Ok(false)` means the operand
+    /// shapes or dtypes are outside what the sweep handles — `outs` is then
+    /// untouched and the caller must interpret the group member by member.
     ///
     /// # Errors
     /// Propagates the `dense` anchor's shape and dtype errors, which are
-    /// the registry kernel's own.
-    pub(crate) fn run(&self, inputs: &[Tensor]) -> Result<Option<Tensor>, KernelError> {
+    /// the registry kernel's own, and a planned output of the wrong dims.
+    pub(crate) fn run_into(
+        &self,
+        inputs: &[Tensor],
+        outs: &mut Vec<Tensor>,
+    ) -> Result<bool, KernelError> {
         let leaf = |src| leaf(src, inputs);
         // The anchor's operands and output dims, built on the stack.
         let anchor = match &self.members[0] {
             (Op::Dense, args) => {
                 let (Some(x), Some(w)) = (leaf(&args[0]), leaf(&args[1])) else {
-                    return Ok(None);
+                    return Ok(false);
                 };
                 if x.rank() == 0 || x.rank() > MAX_RANK || w.rank() != 2 {
-                    return Ok(None);
+                    return Ok(false);
                 }
                 Some((x, w, args.get(2).and_then(leaf)))
             }
@@ -182,7 +188,7 @@ impl Sweep {
                     continue;
                 };
                 let Ok(v) = t.as_f32() else {
-                    return Ok(None);
+                    return Ok(false);
                 };
                 rank = rank.max(t.rank());
                 if v.len() == 1 {
@@ -193,25 +199,24 @@ impl Sweep {
                 match core {
                     None => core = Some(c),
                     Some(k) if k == c => {}
-                    Some(_) => return Ok(None),
+                    Some(_) => return Ok(false),
                 }
                 *slot = Operand::Slice(v);
             }
         }
         let core = core.unwrap_or(&[]);
         if rank > MAX_RANK {
-            return Ok(None);
+            return Ok(false);
         }
         let mut out_dims = [1usize; MAX_RANK];
         out_dims[rank - core.len()..rank].copy_from_slice(core);
         let out_dims = &out_dims[..rank];
         let len: usize = core.iter().product();
 
-        let mut out = match anchor {
-            Some((x, w, bias)) => nimble_tensor::kernels::dense_with_epilogue(x, w, bias, &[])?,
-            None => Tensor::from_vec_f32(vec![0.0; len], out_dims)?,
-        };
-        let buf = out.as_f32_mut()?;
+        let buf = nimble_tensor::dest::slot_f32("fused sweep", outs, 0, out_dims)?;
+        if let Some((x, w, bias)) = anchor {
+            nimble_tensor::kernels::dense_write(x, w, bias, &[], buf)?;
+        }
         let isa = nimble_simd::active();
         let last = self.members.len() - 1;
         let mut tiles = [[0.0f32; TILE]; MAX_MEMBERS];
@@ -244,10 +249,7 @@ impl Sweep {
             }
             i0 += t;
         }
-        if out.dims() != out_dims {
-            out = out.reshaped(out_dims)?;
-        }
-        Ok(Some(out))
+        Ok(true)
     }
 }
 
@@ -359,10 +361,12 @@ mod tests {
     fn swept(members: &[(&str, Vec<Src>)], inputs: &[Tensor]) -> Tensor {
         let sweep = Sweep::compile(members.iter().map(|(n, a)| (*n, &a[..])))
             .expect("group qualifies for the sweep");
-        sweep
-            .run(inputs)
-            .unwrap()
-            .expect("shapes qualify for the sweep")
+        let mut outs = Vec::new();
+        assert!(
+            sweep.run_into(inputs, &mut outs).unwrap(),
+            "shapes qualify for the sweep"
+        );
+        outs.pop().unwrap()
     }
 
     fn assert_bitwise(got: &Tensor, want: &Tensor, what: &str) {
@@ -547,12 +551,13 @@ mod tests {
         let add = [("add", vec![Src::Param(0), Src::Param(1)])];
         let sweep = Sweep::compile(add.iter().map(|(n, a)| (*n, &a[..]))).unwrap();
         let row = Tensor::ones_f32(&[3]);
-        assert!(sweep
-            .run(&[Tensor::ones_f32(&[2, 3]), row.clone()])
-            .unwrap()
-            .is_none());
+        let mut outs = Vec::new();
+        assert!(!sweep
+            .run_into(&[Tensor::ones_f32(&[2, 3]), row.clone()], &mut outs)
+            .unwrap());
         let ints = Tensor::from_vec_i64(vec![1, 2, 3], &[3]).unwrap();
-        assert!(sweep.run(&[ints.clone(), ints]).unwrap().is_none());
-        assert!(sweep.run(&[row.clone(), row]).unwrap().is_some());
+        assert!(!sweep.run_into(&[ints.clone(), ints], &mut outs).unwrap());
+        assert!(outs.is_empty(), "a declined sweep leaves the outputs alone");
+        assert!(sweep.run_into(&[row.clone(), row], &mut outs).unwrap());
     }
 }

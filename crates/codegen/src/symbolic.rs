@@ -337,6 +337,15 @@ impl SymbolicDense {
     /// # Errors
     /// Fails on rank-0 input or contraction mismatch.
     pub fn run(&self, x: &Tensor) -> TResult<Tensor> {
+        nimble_tensor::dest::fresh(|outs| self.run_into(x, outs))
+    }
+
+    /// [`SymbolicDense::run`] writing output 0 of `outs` (see
+    /// `nimble_tensor::dest`).
+    ///
+    /// # Errors
+    /// As [`SymbolicDense::run`], plus a planned output of the wrong dims.
+    pub fn run_into(&self, x: &Tensor, outs: &mut Vec<Tensor>) -> TResult<()> {
         if x.rank() == 0 {
             return Err(TensorError::invalid("SymbolicDense: rank >= 1 required"));
         }
@@ -349,16 +358,18 @@ impl SymbolicDense {
                 self.weight.dims(),
             ));
         }
-        let m: usize = x.dims()[..x.rank() - 1].iter().product();
-        let mut out = vec![0.0f32; m * n];
+        let lead = &x.dims()[..x.rank() - 1];
+        let m: usize = lead.iter().product();
         let bias = match &self.bias {
             Some(b) => Some(b.as_f32()?),
             None => None,
         };
-        dense_symbolic_packed(x.as_f32()?, &self.packed, m, &mut out, self.level, bias);
-        let mut shape = x.dims()[..x.rank() - 1].to_vec();
-        shape.push(n);
-        Tensor::from_vec_f32(out, &shape)
+        let xa = x.as_f32()?;
+        let out = nimble_tensor::dest::with_dims(lead, n, |dims| {
+            nimble_tensor::dest::slot_f32("dense", outs, 0, dims)
+        })?;
+        dense_symbolic_packed(xa, &self.packed, m, out, self.level, bias);
+        Ok(())
     }
 }
 

@@ -11,44 +11,67 @@ fn arg<'a>(inputs: &'a [Tensor], i: usize, op: &str) -> Result<&'a Tensor> {
         .ok_or_else(|| IrError(format!("{op}: missing input {i}")))
 }
 
+/// A binary op's fresh-output `$name` and destination-passing `$into`
+/// entries, both over the kernel library's `$into`.
 macro_rules! binary {
-    ($name:ident) => {
-        pub(super) fn $name(inputs: &[Tensor], _attrs: &Attrs) -> Result<Vec<Tensor>> {
+    ($name:ident, $into:ident) => {
+        pub(super) fn $name(inputs: &[Tensor], attrs: &Attrs) -> Result<Vec<Tensor>> {
+            let mut outs = Vec::with_capacity(1);
+            $into(inputs, attrs, &mut outs)?;
+            Ok(outs)
+        }
+
+        pub(super) fn $into(
+            inputs: &[Tensor],
+            _attrs: &Attrs,
+            outs: &mut Vec<Tensor>,
+        ) -> Result<()> {
             let a = arg(inputs, 0, stringify!($name))?;
             let b = arg(inputs, 1, stringify!($name))?;
-            Ok(vec![kernels::$name(a, b)?])
+            Ok(kernels::$into(a, b, outs)?)
         }
     };
 }
 
+/// The unary counterpart of `binary!`.
 macro_rules! unary {
-    ($name:ident) => {
-        pub(super) fn $name(inputs: &[Tensor], _attrs: &Attrs) -> Result<Vec<Tensor>> {
+    ($name:ident, $into:ident) => {
+        pub(super) fn $name(inputs: &[Tensor], attrs: &Attrs) -> Result<Vec<Tensor>> {
+            let mut outs = Vec::with_capacity(1);
+            $into(inputs, attrs, &mut outs)?;
+            Ok(outs)
+        }
+
+        pub(super) fn $into(
+            inputs: &[Tensor],
+            _attrs: &Attrs,
+            outs: &mut Vec<Tensor>,
+        ) -> Result<()> {
             let a = arg(inputs, 0, stringify!($name))?;
-            Ok(vec![kernels::$name(a)?])
+            Ok(kernels::$into(a, outs)?)
         }
     };
 }
 
-binary!(add);
-binary!(sub);
-binary!(mul);
-binary!(div);
-binary!(maximum);
-binary!(minimum);
-binary!(power);
-binary!(equal);
-binary!(less);
-binary!(greater);
-binary!(logical_and);
-unary!(logical_not);
-unary!(neg);
-unary!(sqrt);
-unary!(tanh);
-unary!(sigmoid);
-unary!(relu);
-unary!(gelu);
-unary!(softmax);
+binary!(add, add_into);
+binary!(sub, sub_into);
+binary!(mul, mul_into);
+binary!(div, div_into);
+binary!(maximum, maximum_into);
+binary!(minimum, minimum_into);
+binary!(power, power_into);
+binary!(equal, equal_into);
+binary!(less, less_into);
+binary!(greater, greater_into);
+binary!(logical_and, logical_and_into);
+unary!(logical_not, logical_not_into);
+unary!(neg, neg_into);
+unary!(sqrt, sqrt_into);
+unary!(tanh, tanh_into);
+unary!(sigmoid, sigmoid_into);
+unary!(relu, relu_into);
+unary!(gelu, gelu_into);
+unary!(softmax, softmax_into);
 
 pub(super) fn where_select(inputs: &[Tensor], _attrs: &Attrs) -> Result<Vec<Tensor>> {
     Ok(vec![kernels::where_select(
@@ -58,27 +81,53 @@ pub(super) fn where_select(inputs: &[Tensor], _attrs: &Attrs) -> Result<Vec<Tens
     )?])
 }
 
-pub(super) fn dense(inputs: &[Tensor], _attrs: &Attrs) -> Result<Vec<Tensor>> {
+pub(super) fn dense(inputs: &[Tensor], attrs: &Attrs) -> Result<Vec<Tensor>> {
+    let mut outs = Vec::with_capacity(1);
+    dense_into(inputs, attrs, &mut outs)?;
+    Ok(outs)
+}
+
+pub(super) fn dense_into(inputs: &[Tensor], _attrs: &Attrs, outs: &mut Vec<Tensor>) -> Result<()> {
     let bias = inputs.get(2);
-    Ok(vec![kernels::dense(
+    Ok(kernels::dense_with_epilogue_into(
         arg(inputs, 0, "dense")?,
         arg(inputs, 1, "dense")?,
         bias,
-    )?])
+        &[],
+        outs,
+    )?)
 }
 
-pub(super) fn matmul(inputs: &[Tensor], _attrs: &Attrs) -> Result<Vec<Tensor>> {
-    Ok(vec![kernels::matmul(
+pub(super) fn matmul(inputs: &[Tensor], attrs: &Attrs) -> Result<Vec<Tensor>> {
+    let mut outs = Vec::with_capacity(1);
+    matmul_into(inputs, attrs, &mut outs)?;
+    Ok(outs)
+}
+
+pub(super) fn matmul_into(inputs: &[Tensor], _attrs: &Attrs, outs: &mut Vec<Tensor>) -> Result<()> {
+    Ok(kernels::matmul_into(
         arg(inputs, 0, "matmul")?,
         arg(inputs, 1, "matmul")?,
-    )?])
+        outs,
+    )?)
 }
 
-pub(super) fn batch_matmul(inputs: &[Tensor], _attrs: &Attrs) -> Result<Vec<Tensor>> {
-    Ok(vec![kernels::batch_matmul(
+pub(super) fn batch_matmul(inputs: &[Tensor], attrs: &Attrs) -> Result<Vec<Tensor>> {
+    let mut outs = Vec::with_capacity(1);
+    batch_matmul_into(inputs, attrs, &mut outs)?;
+    Ok(outs)
+}
+
+pub(super) fn batch_matmul_into(
+    inputs: &[Tensor],
+    _attrs: &Attrs,
+    outs: &mut Vec<Tensor>,
+) -> Result<()> {
+    Ok(kernels::batch_matmul_into(
         arg(inputs, 0, "batch_matmul")?,
         arg(inputs, 1, "batch_matmul")?,
-    )?])
+        outs,
+    )?)
 }
 
 pub(super) fn concat(inputs: &[Tensor], attrs: &Attrs) -> Result<Vec<Tensor>> {
@@ -90,13 +139,20 @@ pub(super) fn concat(inputs: &[Tensor], attrs: &Attrs) -> Result<Vec<Tensor>> {
 }
 
 pub(super) fn split(inputs: &[Tensor], attrs: &Attrs) -> Result<Vec<Tensor>> {
+    let mut outs = Vec::new();
+    split_into(inputs, attrs, &mut outs)?;
+    Ok(outs)
+}
+
+pub(super) fn split_into(inputs: &[Tensor], attrs: &Attrs, outs: &mut Vec<Tensor>) -> Result<()> {
     let parts = attrs
         .int("parts")
         .ok_or_else(|| IrError("split: parts attr required".into()))? as usize;
-    Ok(kernels::split(
+    Ok(kernels::split_into(
         arg(inputs, 0, "split")?,
         parts,
         attrs.int_or("axis", 0) as usize,
+        outs,
     )?)
 }
 
@@ -218,13 +274,24 @@ pub(super) fn zeros(_inputs: &[Tensor], attrs: &Attrs) -> Result<Vec<Tensor>> {
 }
 
 pub(super) fn layer_norm(inputs: &[Tensor], attrs: &Attrs) -> Result<Vec<Tensor>> {
+    let mut outs = Vec::with_capacity(1);
+    layer_norm_into(inputs, attrs, &mut outs)?;
+    Ok(outs)
+}
+
+pub(super) fn layer_norm_into(
+    inputs: &[Tensor],
+    attrs: &Attrs,
+    outs: &mut Vec<Tensor>,
+) -> Result<()> {
     let eps = attrs.float("eps").unwrap_or(1e-5) as f32;
-    Ok(vec![kernels::layer_norm(
+    Ok(kernels::layer_norm_into(
         arg(inputs, 0, "layer_norm")?,
         arg(inputs, 1, "layer_norm")?,
         arg(inputs, 2, "layer_norm")?,
         eps,
-    )?])
+        outs,
+    )?)
 }
 
 fn reduce_args(attrs: &Attrs) -> (usize, bool) {

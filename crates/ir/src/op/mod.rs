@@ -45,6 +45,10 @@ pub enum FusePattern {
 pub type RelFn = fn(&[Type], &Attrs) -> Result<Type>;
 /// Kernel implementation: input tensors → output tensors.
 pub type ExecFn = fn(&[Tensor], &Attrs) -> Result<Vec<Tensor>>;
+/// Destination-passing kernel implementation: writes the outputs in
+/// `outs` in place, or pushes fresh ones when `outs` is empty
+/// (`nimble_tensor::dest`).
+pub type IntoFn = fn(&[Tensor], &Attrs, &mut Vec<Tensor>) -> Result<()>;
 /// Data-dependent shape function: input *values* → output shapes.
 pub type DataShapeFn = fn(&[Tensor], &Attrs) -> Result<Vec<Vec<usize>>>;
 /// Upper-bound shape function: input shapes → upper-bound output shapes.
@@ -86,6 +90,9 @@ pub struct OpDef {
     pub pattern: FusePattern,
     /// Reference kernel.
     pub execute: ExecFn,
+    /// Destination-passing form of `execute`, for the ops whose kernels
+    /// write planned outputs in place; see [`OpDef::execute_into`].
+    pub into: Option<IntoFn>,
 }
 
 impl std::fmt::Debug for OpDef {
@@ -99,6 +106,34 @@ impl std::fmt::Debug for OpDef {
 }
 
 impl OpDef {
+    /// Run the kernel into `outs`: planned tensors (one per output) are
+    /// overwritten in place, an empty `outs` receives fresh outputs.
+    ///
+    /// Ops with a destination-passing kernel write in place; every other
+    /// op computes fresh results and this one adapter copies them into the
+    /// planned tensors after checking dims and dtype. An upper-bound op
+    /// (`nms`) reports its precise, smaller shape, so its results replace
+    /// the bound-sized planned tensors instead.
+    ///
+    /// # Errors
+    /// Propagates kernel failures and planned-output mismatches.
+    pub fn execute_into(
+        &self,
+        inputs: &[Tensor],
+        attrs: &Attrs,
+        outs: &mut Vec<Tensor>,
+    ) -> Result<()> {
+        if let Some(into) = self.into {
+            return into(inputs, attrs, outs);
+        }
+        let results = (self.execute)(inputs, attrs)?;
+        if matches!(self.shape_fn, ShapeFnKind::UpperBound(_)) {
+            *outs = results;
+            return Ok(());
+        }
+        Ok(nimble_tensor::dest::deliver(self.name, results, outs)?)
+    }
+
     /// True when fusing *through* this op's output is forbidden because its
     /// shape function needs intermediate values — the explicit fusion
     /// policy of Section 4.2.
@@ -161,7 +196,7 @@ fn flatten_static_shapes(ty: &Type) -> Result<Vec<Vec<usize>>> {
 }
 
 macro_rules! ops {
-    ($($name:literal => ($rel:expr, $shape:expr, $pattern:expr, $exec:expr)),+ $(,)?) => {{
+    ($($name:literal => ($rel:expr, $shape:expr, $pattern:expr, $exec:expr $(, $into:expr)?)),+ $(,)?) => {{
         let mut m: HashMap<&'static str, OpDef> = HashMap::new();
         $(
             m.insert($name, OpDef {
@@ -170,6 +205,7 @@ macro_rules! ops {
                 shape_fn: $shape,
                 pattern: $pattern,
                 execute: $exec,
+                into: None $(.or(Some($into)))?,
             });
         )+
         m
@@ -183,33 +219,33 @@ fn build_registry() -> HashMap<&'static str, OpDef> {
     use ShapeFnKind::*;
     ops! {
         // ---- elementwise / broadcast arithmetic ----
-        "add"         => (rel::broadcast, DataIndependent, Broadcast, ex::add),
-        "sub"         => (rel::broadcast, DataIndependent, Broadcast, ex::sub),
-        "mul"         => (rel::broadcast, DataIndependent, Broadcast, ex::mul),
-        "div"         => (rel::broadcast, DataIndependent, Broadcast, ex::div),
-        "maximum"     => (rel::broadcast, DataIndependent, Broadcast, ex::maximum),
-        "minimum"     => (rel::broadcast, DataIndependent, Broadcast, ex::minimum),
-        "power"       => (rel::broadcast, DataIndependent, Broadcast, ex::power),
-        "equal"       => (rel::broadcast_bool, DataIndependent, Broadcast, ex::equal),
-        "less"        => (rel::broadcast_bool, DataIndependent, Broadcast, ex::less),
-        "greater"     => (rel::broadcast_bool, DataIndependent, Broadcast, ex::greater),
-        "logical_and" => (rel::broadcast, DataIndependent, Broadcast, ex::logical_and),
-        "logical_not" => (rel::identity, DataIndependent, Elemwise, ex::logical_not),
+        "add"         => (rel::broadcast, DataIndependent, Broadcast, ex::add, ex::add_into),
+        "sub"         => (rel::broadcast, DataIndependent, Broadcast, ex::sub, ex::sub_into),
+        "mul"         => (rel::broadcast, DataIndependent, Broadcast, ex::mul, ex::mul_into),
+        "div"         => (rel::broadcast, DataIndependent, Broadcast, ex::div, ex::div_into),
+        "maximum"     => (rel::broadcast, DataIndependent, Broadcast, ex::maximum, ex::maximum_into),
+        "minimum"     => (rel::broadcast, DataIndependent, Broadcast, ex::minimum, ex::minimum_into),
+        "power"       => (rel::broadcast, DataIndependent, Broadcast, ex::power, ex::power_into),
+        "equal"       => (rel::broadcast_bool, DataIndependent, Broadcast, ex::equal, ex::equal_into),
+        "less"        => (rel::broadcast_bool, DataIndependent, Broadcast, ex::less, ex::less_into),
+        "greater"     => (rel::broadcast_bool, DataIndependent, Broadcast, ex::greater, ex::greater_into),
+        "logical_and" => (rel::broadcast, DataIndependent, Broadcast, ex::logical_and, ex::logical_and_into),
+        "logical_not" => (rel::identity, DataIndependent, Elemwise, ex::logical_not, ex::logical_not_into),
         "where"       => (rel::where_rel, DataIndependent, Broadcast, ex::where_select),
         // ---- elementwise unary ----
-        "neg"     => (rel::identity, DataIndependent, Elemwise, ex::neg),
-        "sqrt"    => (rel::identity, DataIndependent, Elemwise, ex::sqrt),
-        "tanh"    => (rel::identity, DataIndependent, Elemwise, ex::tanh),
-        "sigmoid" => (rel::identity, DataIndependent, Elemwise, ex::sigmoid),
-        "relu"    => (rel::identity, DataIndependent, Elemwise, ex::relu),
-        "gelu"    => (rel::identity, DataIndependent, Elemwise, ex::gelu),
+        "neg"     => (rel::identity, DataIndependent, Elemwise, ex::neg, ex::neg_into),
+        "sqrt"    => (rel::identity, DataIndependent, Elemwise, ex::sqrt, ex::sqrt_into),
+        "tanh"    => (rel::identity, DataIndependent, Elemwise, ex::tanh, ex::tanh_into),
+        "sigmoid" => (rel::identity, DataIndependent, Elemwise, ex::sigmoid, ex::sigmoid_into),
+        "relu"    => (rel::identity, DataIndependent, Elemwise, ex::relu, ex::relu_into),
+        "gelu"    => (rel::identity, DataIndependent, Elemwise, ex::gelu, ex::gelu_into),
         // ---- linear algebra ----
-        "dense"        => (rel::dense, DataIndependent, OutEwiseFusable, ex::dense),
-        "matmul"       => (rel::matmul, DataIndependent, OutEwiseFusable, ex::matmul),
-        "batch_matmul" => (rel::batch_matmul, DataIndependent, OutEwiseFusable, ex::batch_matmul),
+        "dense"        => (rel::dense, DataIndependent, OutEwiseFusable, ex::dense, ex::dense_into),
+        "matmul"       => (rel::matmul, DataIndependent, OutEwiseFusable, ex::matmul, ex::matmul_into),
+        "batch_matmul" => (rel::batch_matmul, DataIndependent, OutEwiseFusable, ex::batch_matmul, ex::batch_matmul_into),
         // ---- data movement ----
         "concat"      => (rel::concat, DataIndependent, Injective, ex::concat),
-        "split"       => (rel::split, DataIndependent, Injective, ex::split),
+        "split"       => (rel::split, DataIndependent, Injective, ex::split, ex::split_into),
         "slice"       => (rel::slice, DataIndependent, Injective, ex::slice),
         "transpose"   => (rel::transpose, DataIndependent, Injective, ex::transpose),
         "reshape"     => (rel::reshape, DataIndependent, Injective, ex::reshape),
@@ -220,8 +256,8 @@ fn build_registry() -> HashMap<&'static str, OpDef> {
         "one_hot"     => (rel::one_hot, DataIndependent, Injective, ex::one_hot),
         "zeros"       => (rel::zeros, DataIndependent, Opaque, ex::zeros),
         // ---- reductions / normalization ----
-        "softmax"    => (rel::identity, DataIndependent, Reduction, ex::softmax),
-        "layer_norm" => (rel::layer_norm, DataIndependent, Reduction, ex::layer_norm),
+        "softmax"    => (rel::identity, DataIndependent, Reduction, ex::softmax, ex::softmax_into),
+        "layer_norm" => (rel::layer_norm, DataIndependent, Reduction, ex::layer_norm, ex::layer_norm_into),
         "sum"        => (rel::reduce, DataIndependent, Reduction, ex::sum),
         "max"        => (rel::reduce, DataIndependent, Reduction, ex::max),
         "mean"       => (rel::reduce, DataIndependent, Reduction, ex::mean),

@@ -14,11 +14,12 @@
 //!    telemetry bucket for bucket. A replica killed while holding queued
 //!    requests must surface them as requeues or explicit failures; a
 //!    request never vanishes and never terminates twice.
-//! 2. **Memory returns to baseline** — storage-arena `live_bytes` is zero
-//!    at every quiesce point, the prepack cache holds exactly the live
-//!    models' panels after every hot-swap, and [`ChaosHarness::finish`]
-//!    checks prepack *and* device-pool bytes return to the pre-load
-//!    baseline captured at construction.
+//! 2. **Memory returns to baseline** — storage-arena `live_bytes` (the
+//!    element buffers of every live tensor) is zero at every quiesce point,
+//!    the prepack cache holds exactly the live models' panels after every
+//!    hot-swap, and [`ChaosHarness::finish`] checks the prepack cache
+//!    returns to the pre-load baseline captured at construction (the
+//!    arenas, and every buffer parked in them, go with their engines).
 //!
 //! **Determinism.** Everything random comes from one seeded [`StdRng`]
 //! (episode kinds, victim replicas, request shapes) and everything racy is
@@ -36,7 +37,7 @@ use crate::registry::{ModelRegistry, RegistryConfig};
 use crate::router::{Rejected, Router, RouterConfig, ServeTicket};
 use crate::shard::{AutoscalerConfig, ShardConfig, ShardSet};
 use nimble_core::{CompileOptions, EngineConfig};
-use nimble_device::{DeviceId, DeviceSet};
+use nimble_device::DeviceSet;
 use nimble_ir::Module;
 use nimble_obs::Category;
 use nimble_specialize::{ModelSpecializer, SpecializeConfig};
@@ -210,7 +211,6 @@ const KINDS: [&str; 7] = [
 /// module docs for the invariants it continuously asserts.
 pub struct ChaosHarness {
     config: ChaosConfig,
-    devices: Arc<DeviceSet>,
     registry: Arc<ModelRegistry>,
     router: Router,
     models: Vec<ChaosModel>,
@@ -219,7 +219,6 @@ pub struct ChaosHarness {
     /// Live prepacked-panel count per model (tracked across hot-swaps).
     packs: Vec<usize>,
     prepack_baseline: usize,
-    pool_baseline: u64,
     rng: StdRng,
     events: Vec<String>,
     tallies: BTreeMap<String, ChaosCounts>,
@@ -246,12 +245,11 @@ impl ChaosHarness {
         let devices = Arc::new(DeviceSet::cpu_only());
         // Baselines BEFORE any model loads: finish() must return here.
         let prepack_baseline = prepack::cache_len();
-        let pool_baseline = pool_live_bytes(&devices);
         let registry = Arc::new(ModelRegistry::new(RegistryConfig {
             cache_dir: None,
             engine: config.engine.clone(),
             shards: config.shards.clone(),
-            devices: Arc::clone(&devices),
+            devices,
             // The specialize episode attaches (and fully tears down) its
             // own specializer with explicit quiesce fences; a registry-
             // owned one would tune at wall-clock-dependent times and
@@ -268,12 +266,10 @@ impl ChaosHarness {
                 .map(|m| (m.name.clone(), ChaosCounts::default()))
                 .collect(),
             config,
-            devices,
             registry,
             router,
             models,
             prepack_baseline,
-            pool_baseline,
             events: Vec::new(),
             episode: 0,
         };
@@ -713,22 +709,14 @@ impl ChaosHarness {
         );
     }
 
-    /// Tear down the stack and assert prepack and device-pool memory are
-    /// back at the pre-load baseline; returns the final report.
+    /// Tear down the stack and assert the prepack cache is back at the
+    /// pre-load baseline; returns the final report.
     fn finish(self) -> ChaosReport {
         self.router.shutdown();
         assert_eq!(
             prepack::cache_len(),
             self.prepack_baseline,
             "prepack cache did not return to baseline\n{}",
-            self.transcript()
-        );
-        let live = pool_live_bytes(&self.devices);
-        assert_eq!(
-            live,
-            self.pool_baseline,
-            "device pools hold {live} bytes (baseline {})\n{}",
-            self.pool_baseline,
             self.transcript()
         );
         ChaosReport {
@@ -740,8 +728,4 @@ impl ChaosHarness {
     fn transcript(&self) -> String {
         self.events.join("\n")
     }
-}
-
-fn pool_live_bytes(devices: &DeviceSet) -> u64 {
-    devices.pool(DeviceId::Cpu).stats().live_bytes + devices.pool(DeviceId::Gpu).stats().live_bytes
 }

@@ -315,7 +315,7 @@ impl Router {
             telemetry.record_rejected_shutdown();
             return Err(Rejected::ShuttingDown);
         }
-        let Some(entry) = self.registry.get(model) else {
+        let Some(mut entry) = self.registry.get(model) else {
             telemetry.record_rejected_unloaded();
             return Err(Rejected::Unloaded);
         };
@@ -335,7 +335,23 @@ impl Router {
             (0, "")
         };
         let _g = nimble_obs::enter(ctx);
-        let admitted = entry.shards().submit("main", args, deadline);
+        let mut admitted = entry.shards().try_submit("main", args, deadline);
+        // A hot swap installs the new version before draining the old, so
+        // a closed engine whose model is still registered under a newer
+        // entry lost a race with the swap: admit once to the current
+        // entry. A model that is gone stays `Unloaded`.
+        if let Err((EngineError::Closed, _)) = &admitted {
+            if let Some(current) = self.registry.get(model) {
+                if !Arc::ptr_eq(&current, &entry) {
+                    entry = current;
+                    let Err((_, args)) = admitted else {
+                        unreachable!("matched an error above")
+                    };
+                    admitted = entry.shards().try_submit("main", args, deadline);
+                }
+            }
+        }
+        let admitted = admitted.map_err(|(e, _)| e);
         let rejected = |arg: u64| {
             if ctx.is_sampled() {
                 nimble_obs::record_root(
@@ -366,8 +382,9 @@ impl Router {
                 nimble_obs::flight::finish_shed(ctx, model, "shed_queue_full");
                 Err(Rejected::QueueFull)
             }
-            // The entry's engine drained between `get` and admission
-            // (hot-swap or unload race): same answer as not-loaded.
+            // The model was unloaded between `get` and admission (or drained
+            // twice in a row under back-to-back swaps): same answer as
+            // not-loaded.
             Err(_) => {
                 telemetry.record_rejected_unloaded();
                 rejected(4);

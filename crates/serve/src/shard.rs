@@ -511,7 +511,25 @@ impl ShardSet {
         args: Vec<Object>,
         deadline: Option<Instant>,
     ) -> Result<ShardTicket, EngineError> {
-        let (ticket, replica) = self.admit(function, &args, deadline)?;
+        self.try_submit(function, args, deadline)
+            .map_err(|(e, _)| e)
+    }
+
+    /// [`ShardSet::submit`] that hands the arguments back on rejection, so
+    /// the caller can admit them elsewhere (the router's hot-swap retry).
+    ///
+    /// # Errors
+    /// As [`ShardSet::submit`], paired with the unconsumed arguments.
+    pub fn try_submit(
+        self: &Arc<Self>,
+        function: &str,
+        args: Vec<Object>,
+        deadline: Option<Instant>,
+    ) -> Result<ShardTicket, (EngineError, Vec<Object>)> {
+        let (ticket, replica) = match self.admit(function, &args, deadline) {
+            Ok(admitted) => admitted,
+            Err(e) => return Err((e, args)),
+        };
         self.accepted.fetch_add(1, Ordering::Relaxed);
         // First sight of a concrete shape key is always interesting: pin
         // the admitting request's flight buffer so the trace that

@@ -248,3 +248,68 @@ fn concurrent_traffic_with_hot_swap_accounts_for_every_request() {
         ));
     });
 }
+
+/// A hot swap installs the new version before draining the old one, so a
+/// submitter that read the old entry just before the swap must be
+/// admitted to the new one: concurrent submitters across 200 swaps never
+/// see `Rejected::Unloaded` for a model that stays registered.
+#[test]
+fn hot_swaps_never_answer_unloaded() {
+    bounded(Duration::from_secs(120), || {
+        const SWAPS: usize = 200;
+        let registry = Arc::new(ModelRegistry::new(RegistryConfig {
+            engine: EngineConfig {
+                workers: 1,
+                queue_capacity: 64,
+                ..EngineConfig::default()
+            },
+            ..RegistryConfig::default()
+        }));
+        let opts = CompileOptions::default();
+        registry
+            .register("alpha", "v0", &add_model(1.0), &opts)
+            .unwrap();
+        let router = Arc::new(Router::new(Arc::clone(&registry), RouterConfig::default()));
+        let done = Arc::new(AtomicBool::new(false));
+        // Submitters keep a few tickets in flight instead of waiting on
+        // each, so admissions keep racing the swaps' drains.
+        let submitters: Vec<_> = (0..3)
+            .map(|_| {
+                let (router, done) = (Arc::clone(&router), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    let (mut admitted, mut unloaded) = (0u64, 0u64);
+                    let mut in_flight = Vec::new();
+                    while !done.load(Ordering::SeqCst) {
+                        match router.submit_with_deadline("alpha", vec![tagged_input(7.0)], None) {
+                            Ok(ticket) => {
+                                admitted += 1;
+                                in_flight.push(ticket);
+                            }
+                            Err(Rejected::Unloaded) => unloaded += 1,
+                            Err(_) => {}
+                        }
+                        if in_flight.len() >= 16 {
+                            in_flight.drain(..).for_each(|t| drop(t.wait()));
+                        }
+                    }
+                    in_flight.into_iter().for_each(|t| drop(t.wait()));
+                    (admitted, unloaded)
+                })
+            })
+            .collect();
+        for i in 1..=SWAPS {
+            registry
+                .register("alpha", &format!("v{i}"), &add_model(1.0), &opts)
+                .unwrap();
+        }
+        done.store(true, Ordering::SeqCst);
+        let (mut admitted, mut unloaded) = (0, 0);
+        for h in submitters {
+            let (a, u) = h.join().unwrap();
+            admitted += a;
+            unloaded += u;
+        }
+        assert!(admitted > 0, "no request was admitted during the swaps");
+        assert_eq!(unloaded, 0, "Unloaded answered for a registered model");
+    });
+}

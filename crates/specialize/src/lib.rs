@@ -43,7 +43,7 @@ use nimble_codegen::{
 use nimble_tensor::kernels::gemm::{gemm_packed, gemm_packed_cols, Epilogue};
 use nimble_tensor::kernels::MatmulSchedule;
 use nimble_tensor::pool::default_profile;
-use nimble_tensor::{prepack, Tensor};
+use nimble_tensor::{dest, prepack, Tensor};
 use nimble_vm::{DispatchHook, VirtualMachine};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -678,47 +678,45 @@ impl ModelSpecializer {
                 if use_cols { ",cols" } else { "" },
                 nimble_simd::active().label()
             );
-            Kernel::new(&name, move |inputs: &[Tensor]| {
+            Kernel::new(&name, move |inputs: &[Tensor], outs: &mut Vec<Tensor>| {
                 // Guards re-derive everything from the live inputs; any
                 // mismatch (weight swapped, odd rank, wrong k) routes to
                 // the symbolic fallback instead of erroring.
                 let (Some(x), Some(w)) = (spec.x.resolve(inputs), spec.w.resolve(inputs)) else {
-                    return fallback.invoke(inputs);
+                    return fallback.invoke_into(inputs, outs);
                 };
                 if w.buffer_id() != weight_id || x.rank() == 0 {
-                    return fallback.invoke(inputs);
+                    return fallback.invoke_into(inputs, outs);
                 }
                 let (n, k) = (pb.n(), pb.k());
                 if *x.dims().last().expect("rank >= 1") != k {
-                    return fallback.invoke(inputs);
+                    return fallback.invoke_into(inputs, outs);
                 }
                 let bias = spec.bias.as_ref().and_then(|b| b.resolve(inputs));
                 let bb = match bias {
                     Some(b) => {
                         if b.dims() != [n] {
-                            return fallback.invoke(inputs);
+                            return fallback.invoke_into(inputs, outs);
                         }
                         Some(b.as_f32().map_err(|e| KernelError(e.to_string()))?)
                     }
                     None => None,
                 };
-                let m: usize = x.dims()[..x.rank() - 1].iter().product();
+                let lead = &x.dims()[..x.rank() - 1];
+                let m: usize = lead.iter().product();
                 let xa = x.as_f32().map_err(|e| KernelError(e.to_string()))?;
-                let mut out = vec![0.0f32; m * n];
+                let out = dest::with_dims(lead, n, |dims| dest::slot_f32("dense", outs, 0, dims))
+                    .map_err(|e| KernelError(e.to_string()))?;
                 let ep = Epilogue {
                     bias: bb,
                     unary: &spec.unary,
                 };
                 if use_cols {
-                    gemm_packed_cols(default_profile(), xa, &pb, m, &mut out, sched, &ep);
+                    gemm_packed_cols(default_profile(), xa, &pb, m, out, sched, &ep);
                 } else {
-                    gemm_packed(default_profile(), xa, &pb, m, &mut out, sched, &ep);
+                    gemm_packed(default_profile(), xa, &pb, m, out, sched, &ep);
                 }
-                let mut shape = x.dims()[..x.rank() - 1].to_vec();
-                shape.push(n);
-                Tensor::from_vec_f32(out, &shape)
-                    .map(|t| vec![t])
-                    .map_err(|e| KernelError(e.to_string()))
+                Ok(())
             })
         };
 

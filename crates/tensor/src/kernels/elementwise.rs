@@ -1,7 +1,8 @@
 //! Elementwise unary and binary kernels with NumPy-style broadcasting.
 
 use crate::shape::broadcast_shapes;
-use crate::{Data, Result, Tensor, TensorError};
+use crate::{dest, DType, Data, Result, Tensor, TensorError};
+use std::borrow::Cow;
 
 /// Broadcast-aware strides: stride is zero along broadcast dimensions so the
 /// same element is re-read.
@@ -15,28 +16,38 @@ fn broadcast_strides(shape: &[usize], out_shape: &[usize]) -> Vec<usize> {
     strides
 }
 
-/// Apply `f` elementwise over broadcast inputs, producing a `V`-typed buffer.
+/// Apply `f` elementwise over broadcast inputs, writing every element of
+/// `out` (of `out_shape`'s volume).
 fn binary_map<T: Copy, V>(
     a: &[T],
     a_shape: &[usize],
     b: &[T],
     b_shape: &[usize],
     out_shape: &[usize],
+    out: &mut [V],
     f: impl Fn(T, T) -> V,
-) -> Vec<V> {
-    let volume: usize = out_shape.iter().product();
+) {
     // Fast path: identical shapes.
     if a_shape == b_shape {
-        return a.iter().zip(b.iter()).map(|(&x, &y)| f(x, y)).collect();
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *o = f(x, y);
+        }
+        return;
     }
     // Fast path: scalar on either side.
     if a.len() == 1 {
         let x = a[0];
-        return b.iter().map(|&y| f(x, y)).collect();
+        for (o, &y) in out.iter_mut().zip(b) {
+            *o = f(x, y);
+        }
+        return;
     }
     if b.len() == 1 {
         let y = b[0];
-        return a.iter().map(|&x| f(x, y)).collect();
+        for (o, &x) in out.iter_mut().zip(a) {
+            *o = f(x, y);
+        }
+        return;
     }
     // General path: odometer over the output index space.
     let sa = broadcast_strides(a_shape, out_shape);
@@ -45,9 +56,8 @@ fn binary_map<T: Copy, V>(
     let mut idx = vec![0usize; rank];
     let mut off_a = 0usize;
     let mut off_b = 0usize;
-    let mut out = Vec::with_capacity(volume);
-    for _ in 0..volume {
-        out.push(f(a[off_a], b[off_b]));
+    for o in out.iter_mut() {
+        *o = f(a[off_a], b[off_b]);
         // Advance odometer and offsets together.
         for d in (0..rank).rev() {
             idx[d] += 1;
@@ -61,199 +71,253 @@ fn binary_map<T: Copy, V>(
             idx[d] = 0;
         }
     }
-    out
 }
 
-/// Dispatch a binary arithmetic op over matching dtypes.
+/// The broadcast output dims of `a ∘ b`, borrowed from `a` when the
+/// shapes already agree (the common case allocates nothing).
+fn out_dims<'a>(a: &'a Tensor, b: &Tensor) -> Result<Cow<'a, [usize]>> {
+    if a.dims() == b.dims() {
+        Ok(Cow::Borrowed(a.dims()))
+    } else {
+        broadcast_shapes(a.dims(), b.dims()).map(Cow::Owned)
+    }
+}
+
+/// Dispatch a binary arithmetic op over matching dtypes, writing output 0
+/// of `outs` (see [`crate::dest`]).
 fn binary_arith(
     op: &str,
     a: &Tensor,
     b: &Tensor,
+    outs: &mut Vec<Tensor>,
     ff: impl Fn(f32, f32) -> f32,
     fi: impl Fn(i64, i64) -> i64,
     fi32: impl Fn(i32, i32) -> i32,
-) -> Result<Tensor> {
-    let out_shape = broadcast_shapes(a.dims(), b.dims())?;
-    match (a.data(), b.data()) {
-        (Data::F32(x), Data::F32(y)) => Tensor::new(
-            Data::F32(binary_map(x, a.dims(), y, b.dims(), &out_shape, ff)),
-            &out_shape,
-        ),
-        (Data::I64(x), Data::I64(y)) => Tensor::new(
-            Data::I64(binary_map(x, a.dims(), y, b.dims(), &out_shape, fi)),
-            &out_shape,
-        ),
-        (Data::I32(x), Data::I32(y)) => Tensor::new(
-            Data::I32(binary_map(x, a.dims(), y, b.dims(), &out_shape, fi32)),
-            &out_shape,
-        ),
-        _ => Err(TensorError::dtype(op, a.dtype(), b.dtype())),
+) -> Result<()> {
+    let shape = out_dims(a, b)?;
+    if a.dtype() != b.dtype() || a.dtype() == DType::Bool {
+        return Err(TensorError::dtype(op, a.dtype(), b.dtype()));
     }
+    let out = dest::slot(op, outs, 0, a.dtype(), &shape)?;
+    let (ad, bd) = (a.dims(), b.dims());
+    match (a.data(), b.data(), out.data_mut()) {
+        (Data::F32(x), Data::F32(y), Data::F32(o)) => binary_map(x, ad, y, bd, &shape, o, ff),
+        (Data::I64(x), Data::I64(y), Data::I64(o)) => binary_map(x, ad, y, bd, &shape, o, fi),
+        (Data::I32(x), Data::I32(y), Data::I32(o)) => binary_map(x, ad, y, bd, &shape, o, fi32),
+        _ => unreachable!("dtypes checked equal and the slot checked against them"),
+    }
+    Ok(())
 }
 
-/// Dispatch a binary comparison over matching dtypes, producing bool.
+/// Dispatch a binary comparison over matching dtypes, producing bool in
+/// output 0 of `outs`.
 fn binary_cmp(
     op: &str,
     a: &Tensor,
     b: &Tensor,
+    outs: &mut Vec<Tensor>,
     ff: impl Fn(f32, f32) -> bool,
     fi: impl Fn(i64, i64) -> bool,
-) -> Result<Tensor> {
-    let out_shape = broadcast_shapes(a.dims(), b.dims())?;
-    match (a.data(), b.data()) {
-        (Data::F32(x), Data::F32(y)) => Tensor::new(
-            Data::Bool(binary_map(x, a.dims(), y, b.dims(), &out_shape, ff)),
-            &out_shape,
-        ),
-        (Data::I64(x), Data::I64(y)) => Tensor::new(
-            Data::Bool(binary_map(x, a.dims(), y, b.dims(), &out_shape, fi)),
-            &out_shape,
-        ),
-        _ => Err(TensorError::dtype(op, a.dtype(), b.dtype())),
+) -> Result<()> {
+    let shape = out_dims(a, b)?;
+    if a.dtype() != b.dtype() || !matches!(a.dtype(), DType::F32 | DType::I64) {
+        return Err(TensorError::dtype(op, a.dtype(), b.dtype()));
     }
+    let out = dest::slot(op, outs, 0, DType::Bool, &shape)?;
+    let (ad, bd) = (a.dims(), b.dims());
+    match (a.data(), b.data(), out.data_mut()) {
+        (Data::F32(x), Data::F32(y), Data::Bool(o)) => binary_map(x, ad, y, bd, &shape, o, ff),
+        (Data::I64(x), Data::I64(y), Data::Bool(o)) => binary_map(x, ad, y, bd, &shape, o, fi),
+        _ => unreachable!("dtypes checked above and the slot checked bool"),
+    }
+    Ok(())
 }
 
-/// Elementwise addition with broadcasting.
-pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_arith("add", a, b, |x, y| x + y, |x, y| x + y, |x, y| x + y)
+/// Define a binary kernel `$name` (fresh output) and `$into`
+/// (destination-passing) from the same body.
+macro_rules! binary_kernel {
+    ($(#[$doc:meta])* $name:ident, $into:ident, |$a:ident, $b:ident, $outs:ident| $body:expr) => {
+        $(#[$doc])*
+        pub fn $name(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+            dest::fresh(|outs| $into(a, b, outs))
+        }
+
+        #[doc = concat!("[`", stringify!($name), "`] writing output 0 of `outs` (see [`crate::dest`]).")]
+        pub fn $into($a: &Tensor, $b: &Tensor, $outs: &mut Vec<Tensor>) -> Result<()> {
+            $body
+        }
+    };
 }
 
-/// Elementwise subtraction with broadcasting.
-pub fn sub(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_arith("sub", a, b, |x, y| x - y, |x, y| x - y, |x, y| x - y)
-}
-
-/// Elementwise multiplication with broadcasting.
-pub fn mul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_arith("mul", a, b, |x, y| x * y, |x, y| x * y, |x, y| x * y)
-}
-
-/// Elementwise division with broadcasting. Integer division truncates.
-pub fn div(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_arith("div", a, b, |x, y| x / y, |x, y| x / y, |x, y| x / y)
-}
-
-/// Elementwise maximum with broadcasting.
-pub fn maximum(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_arith(
+binary_kernel!(
+    /// Elementwise addition with broadcasting.
+    add, add_into, |a, b, outs| binary_arith("add", a, b, outs, |x, y| x + y, |x, y| x + y, |x, y| x + y)
+);
+binary_kernel!(
+    /// Elementwise subtraction with broadcasting.
+    sub, sub_into, |a, b, outs| binary_arith("sub", a, b, outs, |x, y| x - y, |x, y| x - y, |x, y| x - y)
+);
+binary_kernel!(
+    /// Elementwise multiplication with broadcasting.
+    mul, mul_into, |a, b, outs| binary_arith("mul", a, b, outs, |x, y| x * y, |x, y| x * y, |x, y| x * y)
+);
+binary_kernel!(
+    /// Elementwise division with broadcasting. Integer division truncates.
+    div, div_into, |a, b, outs| binary_arith("div", a, b, outs, |x, y| x / y, |x, y| x / y, |x, y| x / y)
+);
+binary_kernel!(
+    /// Elementwise maximum with broadcasting.
+    maximum, maximum_into, |a, b, outs| binary_arith(
         "maximum",
         a,
         b,
+        outs,
         |x, y| x.max(y),
         |x, y| x.max(y),
         |x, y| x.max(y),
     )
-}
-
-/// Elementwise minimum with broadcasting.
-pub fn minimum(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_arith(
+);
+binary_kernel!(
+    /// Elementwise minimum with broadcasting.
+    minimum, minimum_into, |a, b, outs| binary_arith(
         "minimum",
         a,
         b,
+        outs,
         |x, y| x.min(y),
         |x, y| x.min(y),
         |x, y| x.min(y),
     )
-}
-
-/// Elementwise power (f32 only semantics for integers via repeated floats).
-pub fn power(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_arith(
+);
+binary_kernel!(
+    /// Elementwise power (f32 only semantics for integers via repeated floats).
+    power, power_into, |a, b, outs| binary_arith(
         "power",
         a,
         b,
+        outs,
         |x, y| x.powf(y),
         |x, y| (x as f64).powf(y as f64) as i64,
         |x, y| (x as f64).powf(y as f64) as i32,
     )
-}
-
-/// Elementwise equality comparison producing a bool tensor.
-pub fn equal(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_cmp("equal", a, b, |x, y| x == y, |x, y| x == y)
-}
-
-/// Elementwise `<` comparison producing a bool tensor.
-pub fn less(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_cmp("less", a, b, |x, y| x < y, |x, y| x < y)
-}
-
-/// Elementwise `>` comparison producing a bool tensor.
-pub fn greater(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_cmp("greater", a, b, |x, y| x > y, |x, y| x > y)
-}
-
-/// Elementwise logical AND of two bool tensors.
-pub fn logical_and(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let out_shape = broadcast_shapes(a.dims(), b.dims())?;
-    match (a.data(), b.data()) {
-        (Data::Bool(x), Data::Bool(y)) => Tensor::new(
-            Data::Bool(binary_map(x, a.dims(), y, b.dims(), &out_shape, |p, q| {
-                p && q
-            })),
-            &out_shape,
-        ),
-        _ => Err(TensorError::dtype("logical_and", a.dtype(), b.dtype())),
+);
+binary_kernel!(
+    /// Elementwise equality comparison producing a bool tensor.
+    equal, equal_into, |a, b, outs| binary_cmp("equal", a, b, outs, |x, y| x == y, |x, y| x == y)
+);
+binary_kernel!(
+    /// Elementwise `<` comparison producing a bool tensor.
+    less, less_into, |a, b, outs| binary_cmp("less", a, b, outs, |x, y| x < y, |x, y| x < y)
+);
+binary_kernel!(
+    /// Elementwise `>` comparison producing a bool tensor.
+    greater, greater_into, |a, b, outs| binary_cmp("greater", a, b, outs, |x, y| x > y, |x, y| x > y)
+);
+binary_kernel!(
+    /// Elementwise logical AND of two bool tensors.
+    logical_and, logical_and_into, |a, b, outs| {
+        let shape = out_dims(a, b)?;
+        let (x, y) = match (a.data(), b.data()) {
+            (Data::Bool(x), Data::Bool(y)) => (x, y),
+            _ => return Err(TensorError::dtype("logical_and", a.dtype(), b.dtype())),
+        };
+        let out = dest::slot("logical_and", outs, 0, DType::Bool, &shape)?;
+        let Data::Bool(o) = out.data_mut() else {
+            unreachable!("the slot checked bool")
+        };
+        binary_map(x, a.dims(), y, b.dims(), &shape, o, |p, q| p && q);
+        Ok(())
     }
+);
+
+/// Define a unary kernel `$name` (fresh output) and `$into`
+/// (destination-passing) from the same body.
+macro_rules! unary_kernel {
+    ($(#[$doc:meta])* $name:ident, $into:ident, |$a:ident, $outs:ident| $body:expr) => {
+        $(#[$doc])*
+        pub fn $name(a: &Tensor) -> Result<Tensor> {
+            dest::fresh(|outs| $into(a, outs))
+        }
+
+        #[doc = concat!("[`", stringify!($name), "`] writing output 0 of `outs` (see [`crate::dest`]).")]
+        pub fn $into($a: &Tensor, $outs: &mut Vec<Tensor>) -> Result<()> {
+            $body
+        }
+    };
 }
 
-/// Elementwise logical NOT of a bool tensor.
-pub fn logical_not(a: &Tensor) -> Result<Tensor> {
-    let v = a.as_bool()?;
-    Tensor::new(Data::Bool(v.iter().map(|&b| !b).collect()), a.dims())
-}
+unary_kernel!(
+    /// Elementwise logical NOT of a bool tensor.
+    logical_not, logical_not_into, |a, outs| {
+        let v = a.as_bool()?;
+        let Data::Bool(o) = dest::slot("logical_not", outs, 0, DType::Bool, a.dims())?.data_mut() else {
+            unreachable!("the slot checked bool")
+        };
+        for (o, &b) in o.iter_mut().zip(v) {
+            *o = !b;
+        }
+        Ok(())
+    }
+);
 
 /// Apply a unary op over an f32 tensor through the shared
-/// [`vecmath`](nimble_simd::vecmath) row primitive: vectorized on the
-/// active SIMD backend, the original scalar formulas under
-/// `NIMBLE_SIMD=scalar`.
-fn unary_f32(name: &str, a: &Tensor, op: nimble_simd::vecmath::UnaryOp) -> Result<Tensor> {
+/// [`vecmath`](nimble_simd::vecmath) row primitive, into output 0 of
+/// `outs`: vectorized on the active SIMD backend, the original scalar
+/// formulas under `NIMBLE_SIMD=scalar`.
+fn unary_f32(
+    name: &str,
+    a: &Tensor,
+    op: nimble_simd::vecmath::UnaryOp,
+    outs: &mut Vec<Tensor>,
+) -> Result<()> {
     match a.data() {
         Data::F32(v) => {
-            let mut out = v.clone();
-            nimble_simd::vecmath::unary_slice(nimble_simd::active(), op, &mut out);
-            Tensor::new(Data::F32(out), a.dims())
+            let out = dest::slot_f32(name, outs, 0, a.dims())?;
+            out.copy_from_slice(v);
+            nimble_simd::vecmath::unary_slice(nimble_simd::active(), op, out);
+            Ok(())
         }
-        other => Err(TensorError::dtype(name, crate::DType::F32, other.dtype())),
+        other => Err(TensorError::dtype(name, DType::F32, other.dtype())),
     }
 }
 
-/// Elementwise negation.
-pub fn neg(a: &Tensor) -> Result<Tensor> {
-    match a.data() {
-        Data::F32(_) => unary_f32("neg", a, nimble_simd::vecmath::UnaryOp::Neg),
-        Data::I64(v) => Tensor::new(Data::I64(v.iter().map(|&x| -x).collect()), a.dims()),
-        Data::I32(v) => Tensor::new(Data::I32(v.iter().map(|&x| -x).collect()), a.dims()),
-        other => Err(TensorError::dtype("neg", crate::DType::F32, other.dtype())),
+unary_kernel!(
+    /// Elementwise negation.
+    neg, neg_into, |a, outs| {
+        let out = match a.data() {
+            Data::F32(_) => return unary_f32("neg", a, nimble_simd::vecmath::UnaryOp::Neg, outs),
+            Data::I64(_) | Data::I32(_) => dest::slot("neg", outs, 0, a.dtype(), a.dims())?,
+            other => return Err(TensorError::dtype("neg", DType::F32, other.dtype())),
+        };
+        match (a.data(), out.data_mut()) {
+            (Data::I64(v), Data::I64(o)) => o.iter_mut().zip(v).for_each(|(o, &x)| *o = -x),
+            (Data::I32(v), Data::I32(o)) => o.iter_mut().zip(v).for_each(|(o, &x)| *o = -x),
+            _ => unreachable!("the slot checked the input dtype"),
+        }
+        Ok(())
     }
-}
-
-/// Elementwise square root (f32).
-pub fn sqrt(a: &Tensor) -> Result<Tensor> {
-    unary_f32("sqrt", a, nimble_simd::vecmath::UnaryOp::Sqrt)
-}
-
-/// Elementwise hyperbolic tangent (f32).
-pub fn tanh(a: &Tensor) -> Result<Tensor> {
-    unary_f32("tanh", a, nimble_simd::vecmath::UnaryOp::Tanh)
-}
-
-/// Elementwise logistic sigmoid (f32).
-pub fn sigmoid(a: &Tensor) -> Result<Tensor> {
-    unary_f32("sigmoid", a, nimble_simd::vecmath::UnaryOp::Sigmoid)
-}
-
-/// Elementwise rectified linear unit (f32).
-pub fn relu(a: &Tensor) -> Result<Tensor> {
-    unary_f32("relu", a, nimble_simd::vecmath::UnaryOp::Relu)
-}
-
-/// Elementwise GELU activation using the tanh approximation (f32), as used
-/// in BERT's feed-forward blocks.
-pub fn gelu(a: &Tensor) -> Result<Tensor> {
-    unary_f32("gelu", a, nimble_simd::vecmath::UnaryOp::Gelu)
-}
+);
+unary_kernel!(
+    /// Elementwise square root (f32).
+    sqrt, sqrt_into, |a, outs| unary_f32("sqrt", a, nimble_simd::vecmath::UnaryOp::Sqrt, outs)
+);
+unary_kernel!(
+    /// Elementwise hyperbolic tangent (f32).
+    tanh, tanh_into, |a, outs| unary_f32("tanh", a, nimble_simd::vecmath::UnaryOp::Tanh, outs)
+);
+unary_kernel!(
+    /// Elementwise logistic sigmoid (f32).
+    sigmoid, sigmoid_into, |a, outs| unary_f32("sigmoid", a, nimble_simd::vecmath::UnaryOp::Sigmoid, outs)
+);
+unary_kernel!(
+    /// Elementwise rectified linear unit (f32).
+    relu, relu_into, |a, outs| unary_f32("relu", a, nimble_simd::vecmath::UnaryOp::Relu, outs)
+);
+unary_kernel!(
+    /// Elementwise GELU activation using the tanh approximation (f32), as used
+    /// in BERT's feed-forward blocks.
+    gelu, gelu_into, |a, outs| unary_f32("gelu", a, nimble_simd::vecmath::UnaryOp::Gelu, outs)
+);
 
 /// Ternary select: `out[i] = if cond[i] { a[i] } else { b[i] }`, with `cond`
 /// broadcast against `a`/`b`.

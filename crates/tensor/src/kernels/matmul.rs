@@ -22,7 +22,7 @@
 
 use super::gemm::{gemm, Epilogue, PackedB, UnaryOp};
 use crate::pool::{default_profile, ExecProfile};
-use crate::{Result, Tensor, TensorError};
+use crate::{dest, Result, Tensor, TensorError};
 
 /// Loop-tiling schedule for dense kernels — the analog of a TVM schedule
 /// configuration explored by the template tuner (Section 4.5).
@@ -112,6 +112,49 @@ pub fn dense_with_epilogue(
     bias: Option<&Tensor>,
     unary: &[UnaryOp],
 ) -> Result<Tensor> {
+    dest::fresh(|outs| dense_with_epilogue_into(x, weight, bias, unary, outs))
+}
+
+/// [`dense_with_epilogue`] writing output 0 of `outs` (see
+/// [`crate::dest`]); the GEMM's write-out pass overwrites every element.
+///
+/// # Errors
+/// Fails on rank/shape mismatches, non-f32 inputs, or a planned output of
+/// the wrong dims or dtype.
+pub fn dense_with_epilogue_into(
+    x: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    unary: &[UnaryOp],
+    outs: &mut Vec<Tensor>,
+) -> Result<()> {
+    if weight.rank() != 2 {
+        return Err(TensorError::invalid("dense: weight must be rank 2"));
+    }
+    if x.rank() == 0 {
+        return Err(TensorError::invalid("dense: x must have rank >= 1"));
+    }
+    let lead = &x.dims()[..x.rank() - 1];
+    let n = weight.dims()[0];
+    let out = dest::with_dims(lead, n, |dims| dest::slot_f32("dense", outs, 0, dims))?;
+    dense_write(x, weight, bias, unary, out)
+}
+
+/// The computation behind [`dense_with_epilogue`], written into `out`, a
+/// row-major `[m, n]` buffer whose every element is overwritten (callers
+/// that view the result with extra leading 1s, like the fused sweep, pass
+/// their own output's elements).
+///
+/// # Errors
+/// Fails on rank/shape mismatches, non-f32 inputs, or an `out` that does
+/// not hold `m * n` elements.
+pub fn dense_write(
+    x: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    unary: &[UnaryOp],
+    out: &mut [f32],
+) -> Result<()> {
     if weight.rank() != 2 {
         return Err(TensorError::invalid("dense: weight must be rank 2"));
     }
@@ -124,6 +167,12 @@ pub fn dense_with_epilogue(
         return Err(TensorError::shape("dense", x.dims(), weight.dims()));
     }
     let m: usize = x.dims()[..x.rank() - 1].iter().product();
+    if out.len() != m * n {
+        return Err(TensorError::LengthMismatch {
+            len: out.len(),
+            expected: m * n,
+        });
+    }
     let xa = x.as_f32()?;
     let bb = match bias {
         Some(b) => {
@@ -137,12 +186,9 @@ pub fn dense_with_epilogue(
     let profile = default_profile();
     let sched = MatmulSchedule::for_profile(profile).sanitized();
     let pb = crate::prepack::get_or_pack(weight, n, k, sched.tile_k)?;
-    let mut out = vec![0.0f32; m * n];
     let ep = Epilogue { bias: bb, unary };
-    gemm(profile, xa, &pb, m, &mut out, sched, &ep);
-    let mut out_shape = x.dims()[..x.rank() - 1].to_vec();
-    out_shape.push(n);
-    Tensor::from_vec_f32(out, &out_shape)
+    gemm(profile, xa, &pb, m, out, sched, &ep);
+    Ok(())
 }
 
 /// Standard 2-D matrix multiply `[m,k] × [k,n] → [m,n]`.
@@ -153,6 +199,14 @@ pub fn dense_with_epilogue(
 /// # Errors
 /// Fails on rank/shape mismatches or non-f32 inputs.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    dest::fresh(|outs| matmul_into(a, b, outs))
+}
+
+/// [`matmul`] writing output 0 of `outs` (see [`crate::dest`]).
+///
+/// # Errors
+/// As [`matmul`], plus a planned output of the wrong dims or dtype.
+pub fn matmul_into(a: &Tensor, b: &Tensor, outs: &mut Vec<Tensor>) -> Result<()> {
     if a.rank() != 2 || b.rank() != 2 {
         return Err(TensorError::invalid("matmul: both inputs must be rank 2"));
     }
@@ -164,17 +218,10 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let profile = default_profile();
     let sched = MatmulSchedule::for_profile(profile).sanitized();
     let pb = PackedB::pack_kn(b.as_f32()?, k, n, sched.tile_k);
-    let mut out = vec![0.0f32; m * n];
-    gemm(
-        profile,
-        a.as_f32()?,
-        &pb,
-        m,
-        &mut out,
-        sched,
-        &Epilogue::NONE,
-    );
-    Tensor::from_vec_f32(out, &[m, n])
+    let aa = a.as_f32()?;
+    let out = dest::slot_f32("matmul", outs, 0, &[m, n])?;
+    gemm(profile, aa, &pb, m, out, sched, &Epilogue::NONE);
+    Ok(())
 }
 
 /// Batched matmul `[b,m,k] × [b,k,n] → [b,m,n]` (used by attention); the
@@ -187,6 +234,14 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// Fails on rank/shape mismatches or non-f32 inputs.
 pub fn batch_matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    dest::fresh(|outs| batch_matmul_into(a, b, outs))
+}
+
+/// [`batch_matmul`] writing output 0 of `outs` (see [`crate::dest`]).
+///
+/// # Errors
+/// As [`batch_matmul`], plus a planned output of the wrong dims or dtype.
+pub fn batch_matmul_into(a: &Tensor, b: &Tensor, outs: &mut Vec<Tensor>) -> Result<()> {
     if a.rank() != 3 || b.rank() != 3 {
         return Err(TensorError::invalid(
             "batch_matmul: both inputs must be rank 3",
@@ -199,7 +254,7 @@ pub fn batch_matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     }
     let aa = a.as_f32()?;
     let bbuf = b.as_f32()?;
-    let mut out = vec![0.0f32; ba * m * n];
+    let out = dest::slot_f32("batch_matmul", outs, 0, &[ba, m, n])?;
     let profile = default_profile();
     let sched = MatmulSchedule::for_profile(profile).sanitized();
     let pb0 = PackedB::pack_kn(&bbuf[..k * n], k, n, sched.tile_k);
@@ -222,7 +277,7 @@ pub fn batch_matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         };
         gemm(profile, a_slice, pb, m, out_slice, sched, &Epilogue::NONE);
     }
-    Tensor::from_vec_f32(out, &[ba, m, n])
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Data-movement kernels: concat, split, slice, transpose, gather, stack.
 
-use crate::{DType, Data, Result, Tensor, TensorError};
+use crate::{dest, DType, Data, Result, Tensor, TensorError};
 
 /// Concatenate tensors along `axis`. All inputs must agree on every other
 /// dimension and on dtype. This is the canonical dynamic-output-shape
@@ -72,6 +72,17 @@ pub fn concat(inputs: &[&Tensor], axis: usize) -> Result<Tensor> {
 /// # Errors
 /// Fails when the axis length is not divisible by `parts`.
 pub fn split(a: &Tensor, parts: usize, axis: usize) -> Result<Vec<Tensor>> {
+    let mut outs = Vec::with_capacity(parts);
+    split_into(a, parts, axis, &mut outs)?;
+    Ok(outs)
+}
+
+/// [`split`] writing outputs `0..parts` of `outs` (see [`crate::dest`]):
+/// each piece is `outer` contiguous chunks copied straight out of `a`.
+///
+/// # Errors
+/// As [`split`], plus planned outputs of the wrong dims or dtype.
+pub fn split_into(a: &Tensor, parts: usize, axis: usize, outs: &mut Vec<Tensor>) -> Result<()> {
     if axis >= a.rank() {
         return Err(TensorError::range(format!("split axis {axis}")));
     }
@@ -82,12 +93,46 @@ pub fn split(a: &Tensor, parts: usize, axis: usize) -> Result<Vec<Tensor>> {
         )));
     }
     let piece = len / parts;
-    let mut out = Vec::with_capacity(parts);
+    let outer: usize = a.dims()[..axis].iter().product();
+    let inner: usize = a.dims()[axis + 1..].iter().product();
+    let (row, chunk) = (len * inner, piece * inner);
+    let mut dims = a.dims().to_vec();
+    dims[axis] = piece;
     for p in 0..parts {
-        let begin = p * piece;
-        out.push(slice_axis(a, axis, begin, begin + piece)?);
+        let out = dest::slot("split", outs, p, a.dtype(), &dims)?;
+        let start = p * chunk;
+        match (a.data(), out.data_mut()) {
+            (Data::F32(s), Data::F32(d)) => {
+                copy_chunks(s, d.as_mut_slice(), outer, row, start, chunk)
+            }
+            (Data::I64(s), Data::I64(d)) => {
+                copy_chunks(s, d.as_mut_slice(), outer, row, start, chunk)
+            }
+            (Data::I32(s), Data::I32(d)) => {
+                copy_chunks(s, d.as_mut_slice(), outer, row, start, chunk)
+            }
+            (Data::Bool(s), Data::Bool(d)) => {
+                copy_chunks(s, d.as_mut_slice(), outer, row, start, chunk)
+            }
+            _ => unreachable!("the slot checked the input dtype"),
+        }
     }
-    Ok(out)
+    Ok(())
+}
+
+/// Copy chunk `o` of each of `outer` rows of `src` (`row` elements apart,
+/// `chunk` long, at `start`) to position `o` of `dst`.
+fn copy_chunks<T: Copy>(
+    src: &[T],
+    dst: &mut [T],
+    outer: usize,
+    row: usize,
+    start: usize,
+    chunk: usize,
+) {
+    for o in 0..outer {
+        dst[o * chunk..(o + 1) * chunk].copy_from_slice(&src[o * row + start..][..chunk]);
+    }
 }
 
 /// Slice `[begin, end)` along a single axis.

@@ -96,6 +96,14 @@ pub fn argmax(a: &Tensor, axis: usize) -> Result<Tensor> {
 /// vectorized max / exp / normalize passes on the active SIMD backend, the
 /// original scalar sweep under `NIMBLE_SIMD=scalar`.
 pub fn softmax(a: &Tensor) -> Result<Tensor> {
+    crate::dest::fresh(|outs| softmax_into(a, outs))
+}
+
+/// [`softmax`] writing output 0 of `outs` (see [`crate::dest`]).
+///
+/// # Errors
+/// As [`softmax`], plus a planned output of the wrong dims or dtype.
+pub fn softmax_into(a: &Tensor, outs: &mut Vec<Tensor>) -> Result<()> {
     if a.rank() == 0 {
         return Err(TensorError::invalid("softmax on scalar"));
     }
@@ -103,13 +111,13 @@ pub fn softmax(a: &Tensor) -> Result<Tensor> {
     let (outer, len, _) = axis_split(a.dims(), last)?;
     let v = a.as_f32()?;
     let isa = nimble_simd::active();
-    let mut out = vec![0.0f32; v.len()];
+    let out = crate::dest::slot_f32("softmax", outs, 0, a.dims())?;
     for o in 0..outer {
         let strip = &v[o * len..(o + 1) * len];
         let ostrip = &mut out[o * len..(o + 1) * len];
         nimble_simd::vecmath::softmax_strip(isa, strip, ostrip);
     }
-    Tensor::from_vec_f32(out, a.dims())
+    Ok(())
 }
 
 /// Layer normalization along the last axis with learned scale/shift:
@@ -118,6 +126,20 @@ pub fn softmax(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// Fails when `gamma`/`beta` do not match the last dimension of `a`.
 pub fn layer_norm(a: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Result<Tensor> {
+    crate::dest::fresh(|outs| layer_norm_into(a, gamma, beta, eps, outs))
+}
+
+/// [`layer_norm`] writing output 0 of `outs` (see [`crate::dest`]).
+///
+/// # Errors
+/// As [`layer_norm`], plus a planned output of the wrong dims or dtype.
+pub fn layer_norm_into(
+    a: &Tensor,
+    gamma: &Tensor,
+    beta: &Tensor,
+    eps: f32,
+    outs: &mut Vec<Tensor>,
+) -> Result<()> {
     if a.rank() == 0 {
         return Err(TensorError::invalid("layer_norm on scalar"));
     }
@@ -135,13 +157,13 @@ pub fn layer_norm(a: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Result
     let b = beta.as_f32()?;
     let outer = v.len() / len;
     let isa = nimble_simd::active();
-    let mut out = vec![0.0f32; v.len()];
+    let out = crate::dest::slot_f32("layer_norm", outs, 0, a.dims())?;
     for o in 0..outer {
         let strip = &v[o * len..(o + 1) * len];
         let ostrip = &mut out[o * len..(o + 1) * len];
         nimble_simd::vecmath::layer_norm_strip(isa, strip, g, b, eps, ostrip);
     }
-    Tensor::from_vec_f32(out, a.dims())
+    Ok(())
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@
 //! # }
 //! ```
 
+pub mod dest;
 pub mod dtype;
 pub mod error;
 pub mod kernels;
@@ -35,7 +36,7 @@ pub use error::TensorError;
 pub use kernels::gemm::UnaryOp;
 pub use pool::ExecProfile;
 pub use shape::{broadcast_shapes, Shape};
-pub use tensor::{Data, Tensor};
+pub use tensor::{Data, Recycle, Tensor};
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, TensorError>;

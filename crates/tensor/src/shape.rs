@@ -5,23 +5,32 @@
 //! materialized tensors, which are always concrete integers at run time.
 
 use crate::{Result, TensorError};
+use std::sync::Arc;
 
 /// A concrete row-major tensor shape.
 ///
-/// A scalar has an empty dimension list. `Shape` is a thin wrapper over
-/// `Vec<usize>` providing volume/stride helpers used by the kernels.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Shape(pub Vec<usize>);
+/// A scalar has an empty dimension list. The dimensions sit behind an
+/// [`Arc`], so cloning a shape — and with it a [`crate::Tensor`] — never
+/// allocates; the VM interns the static shapes of its `AllocTensor`
+/// instructions once at load time.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Shape(Arc<[usize]>);
+
+impl Default for Shape {
+    fn default() -> Self {
+        Shape::scalar()
+    }
+}
 
 impl Shape {
     /// Create a shape from a dimension slice.
     pub fn new(dims: &[usize]) -> Self {
-        Shape(dims.to_vec())
+        Shape(Arc::from(dims))
     }
 
     /// Scalar (rank-0) shape.
     pub fn scalar() -> Self {
-        Shape(Vec::new())
+        Shape::new(&[])
     }
 
     /// Number of dimensions.
@@ -73,13 +82,19 @@ impl Shape {
 
 impl From<Vec<usize>> for Shape {
     fn from(dims: Vec<usize>) -> Self {
-        Shape(dims)
+        Shape(dims.into())
+    }
+}
+
+impl FromIterator<usize> for Shape {
+    fn from_iter<I: IntoIterator<Item = usize>>(dims: I) -> Self {
+        Shape(dims.into_iter().collect())
     }
 }
 
 impl From<&[usize]> for Shape {
     fn from(dims: &[usize]) -> Self {
-        Shape(dims.to_vec())
+        Shape::new(dims)
     }
 }
 

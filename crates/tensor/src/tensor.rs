@@ -2,8 +2,13 @@
 //!
 //! Registers in the Nimble VM hold reference-counted objects that are passed
 //! by reference and copied on write (Section 5.2); `Tensor` implements that
-//! object representation directly: cloning is O(1), and mutation through
-//! [`Tensor::data_mut`] copies only when the buffer is shared.
+//! object representation directly: cloning is O(1) and never allocates,
+//! and mutation through [`Tensor::data_mut`] copies only when the buffer is
+//! shared.
+//!
+//! An element buffer may have a *home* (a [`Recycle`] implementation, the
+//! VM's per-session storage arena): when the last tensor sharing the
+//! buffer drops, the buffer goes back there instead of to the allocator.
 
 use crate::{DType, Result, Shape, TensorError};
 use std::sync::Arc;
@@ -56,6 +61,99 @@ impl Data {
             DType::Bool => Data::Bool(vec![false; len]),
         }
     }
+
+    /// An empty buffer of `dtype` that can grow to `capacity` elements
+    /// without reallocating.
+    pub fn with_capacity(dtype: DType, capacity: usize) -> Data {
+        match dtype {
+            DType::F32 => Data::F32(Vec::with_capacity(capacity)),
+            DType::I64 => Data::I64(Vec::with_capacity(capacity)),
+            DType::I32 => Data::I32(Vec::with_capacity(capacity)),
+            DType::Bool => Data::Bool(Vec::with_capacity(capacity)),
+        }
+    }
+
+    /// Elements the buffer holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        match self {
+            Data::F32(v) => v.capacity(),
+            Data::I64(v) => v.capacity(),
+            Data::I32(v) => v.capacity(),
+            Data::Bool(v) => v.capacity(),
+        }
+    }
+
+    /// Set the length to `len`, zero-filling new elements (no
+    /// reallocation while `len <= capacity()`).
+    pub fn resize(&mut self, len: usize) {
+        match self {
+            Data::F32(v) => v.resize(len, 0.0),
+            Data::I64(v) => v.resize(len, 0),
+            Data::I32(v) => v.resize(len, 0),
+            Data::Bool(v) => v.resize(len, false),
+        }
+    }
+
+    /// Overwrite every element with `src`'s.
+    ///
+    /// # Errors
+    /// Fails when the dtypes or lengths differ.
+    pub fn copy_from(&mut self, src: &Data) -> Result<()> {
+        if self.dtype() != src.dtype() || self.len() != src.len() {
+            return Err(TensorError::invalid(format!(
+                "copy of {} {} elements into {} {} elements",
+                src.len(),
+                src.dtype(),
+                self.len(),
+                self.dtype()
+            )));
+        }
+        match (self, src) {
+            (Data::F32(d), Data::F32(s)) => d.copy_from_slice(s),
+            (Data::I64(d), Data::I64(s)) => d.copy_from_slice(s),
+            (Data::I32(d), Data::I32(s)) => d.copy_from_slice(s),
+            (Data::Bool(d), Data::Bool(s)) => d.copy_from_slice(s),
+            _ => unreachable!("dtypes checked equal"),
+        }
+        Ok(())
+    }
+}
+
+/// Where an element buffer goes when the last tensor sharing it drops —
+/// implemented by the VM's per-session storage arena.
+pub trait Recycle: Send + Sync {
+    /// Take back the buffer of a dropped tensor.
+    fn recycle(&self, data: Data);
+}
+
+/// A tensor's element buffer and its optional home.
+struct Buffer {
+    data: Data,
+    home: Option<Arc<dyn Recycle>>,
+}
+
+impl Clone for Buffer {
+    /// A copy-on-write copy is a plain allocation: it has no home.
+    fn clone(&self) -> Buffer {
+        Buffer {
+            data: self.data.clone(),
+            home: None,
+        }
+    }
+}
+
+impl Drop for Buffer {
+    fn drop(&mut self) {
+        if let Some(home) = self.home.take() {
+            home.recycle(std::mem::replace(&mut self.data, Data::F32(Vec::new())));
+        }
+    }
+}
+
+impl std::fmt::Debug for Buffer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.data.fmt(f)
+    }
 }
 
 /// A dense, row-major, reference-counted n-dimensional array.
@@ -67,7 +165,7 @@ impl Data {
 #[derive(Debug, Clone)]
 pub struct Tensor {
     shape: Shape,
-    data: Arc<Data>,
+    data: Arc<Buffer>,
 }
 
 impl Tensor {
@@ -77,7 +175,17 @@ impl Tensor {
     /// Fails with [`TensorError::LengthMismatch`] when the buffer length does
     /// not equal the shape volume.
     pub fn new(data: Data, shape: &[usize]) -> Result<Tensor> {
-        let shape = Shape::new(shape);
+        Tensor::from_parts(data, Shape::new(shape), None)
+    }
+
+    /// Build a tensor from a buffer, an already-built (possibly shared)
+    /// shape and the buffer's home, which takes the buffer back when the
+    /// last tensor sharing it drops.
+    ///
+    /// # Errors
+    /// Fails with [`TensorError::LengthMismatch`] when the buffer length does
+    /// not equal the shape volume.
+    pub fn from_parts(data: Data, shape: Shape, home: Option<Arc<dyn Recycle>>) -> Result<Tensor> {
         if data.len() != shape.volume() {
             return Err(TensorError::LengthMismatch {
                 len: data.len(),
@@ -86,7 +194,7 @@ impl Tensor {
         }
         Ok(Tensor {
             shape,
-            data: Arc::new(data),
+            data: Arc::new(Buffer { data, home }),
         })
     }
 
@@ -128,10 +236,8 @@ impl Tensor {
     /// Zero-filled tensor of the given dtype and shape.
     pub fn zeros(dtype: DType, shape: &[usize]) -> Tensor {
         let volume: usize = shape.iter().product();
-        Tensor {
-            shape: Shape::new(shape),
-            data: Arc::new(Data::zeros(dtype, volume)),
-        }
+        Tensor::from_parts(Data::zeros(dtype, volume), Shape::new(shape), None)
+            .expect("volume matches by construction")
     }
 
     /// Tensor filled with ones (f32 only).
@@ -170,7 +276,7 @@ impl Tensor {
 
     /// Element type.
     pub fn dtype(&self) -> DType {
-        self.data.dtype()
+        self.data().dtype()
     }
 
     /// Size of the tensor contents in bytes.
@@ -180,13 +286,13 @@ impl Tensor {
 
     /// Borrow the raw buffer.
     pub fn data(&self) -> &Data {
-        &self.data
+        &self.data.data
     }
 
     /// Mutably borrow the buffer, copying it first if it is shared
     /// (copy-on-write).
     pub fn data_mut(&mut self) -> &mut Data {
-        Arc::make_mut(&mut self.data)
+        &mut Arc::make_mut(&mut self.data).data
     }
 
     /// True when this tensor is the unique owner of its buffer.
@@ -209,7 +315,7 @@ impl Tensor {
     /// # Errors
     /// Fails with [`TensorError::DTypeMismatch`] for non-f32 tensors.
     pub fn as_f32(&self) -> Result<&[f32]> {
-        match self.data.as_ref() {
+        match self.data() {
             Data::F32(v) => Ok(v),
             other => Err(TensorError::dtype("as_f32", DType::F32, other.dtype())),
         }
@@ -220,7 +326,7 @@ impl Tensor {
     /// # Errors
     /// Fails with [`TensorError::DTypeMismatch`] for non-i64 tensors.
     pub fn as_i64(&self) -> Result<&[i64]> {
-        match self.data.as_ref() {
+        match self.data() {
             Data::I64(v) => Ok(v),
             other => Err(TensorError::dtype("as_i64", DType::I64, other.dtype())),
         }
@@ -231,7 +337,7 @@ impl Tensor {
     /// # Errors
     /// Fails with [`TensorError::DTypeMismatch`] for non-i32 tensors.
     pub fn as_i32(&self) -> Result<&[i32]> {
-        match self.data.as_ref() {
+        match self.data() {
             Data::I32(v) => Ok(v),
             other => Err(TensorError::dtype("as_i32", DType::I32, other.dtype())),
         }
@@ -242,7 +348,7 @@ impl Tensor {
     /// # Errors
     /// Fails with [`TensorError::DTypeMismatch`] for non-bool tensors.
     pub fn as_bool(&self) -> Result<&[bool]> {
-        match self.data.as_ref() {
+        match self.data() {
             Data::Bool(v) => Ok(v),
             other => Err(TensorError::dtype("as_bool", DType::Bool, other.dtype())),
         }
@@ -329,7 +435,7 @@ impl Tensor {
 
 impl PartialEq for Tensor {
     fn eq(&self, other: &Self) -> bool {
-        self.shape == other.shape && self.data == other.data
+        self.shape == other.shape && self.data() == other.data()
     }
 }
 

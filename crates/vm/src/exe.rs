@@ -179,7 +179,13 @@ impl KernelDesc {
 
 fn wrap_shape_func(sf: ShapeFuncKernel) -> Kernel {
     let name = format!("shape_func({})", sf.name());
-    Kernel::new(&name, move |inputs| sf.invoke(inputs))
+    Kernel::new(&name, move |inputs, outs| {
+        Ok(nimble_tensor::dest::deliver(
+            "shape_func",
+            sf.invoke(inputs)?,
+            outs,
+        )?)
+    })
 }
 
 /// A lowered function: named bytecode with a register budget.

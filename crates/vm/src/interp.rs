@@ -21,13 +21,13 @@
 use crate::arena::{ArenaStats, StorageArena};
 use crate::exe::Executable;
 use crate::isa::{opcode_name, Instruction};
-use crate::object::{AdtObj, ClosureObj, FutureObj, Object, StorageHandle, TensorObj};
+use crate::object::{AdtObj, ClosureObj, FutureObj, Object, StorageHandle};
 use crate::profiler::{Category, ProfileReport, Profiler, SharedProfiler};
 use crate::{Result, VmError};
 use nimble_codegen::kernel::Kernel;
 use nimble_device::{copy_tensor, DeviceId, DeviceSet, TensorFuture};
 use nimble_obs::Category as ObsCat;
-use nimble_tensor::Tensor;
+use nimble_tensor::{DType, Data, Recycle, Shape, Tensor};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -52,6 +52,17 @@ pub trait DispatchHook: Send + Sync {
     fn intercept(&self, kernel_idx: u32, inputs: &[Tensor]) -> Option<Kernel>;
 }
 
+/// Bytes of a planned tensor, or an error when a malformed shape would
+/// overflow the size computation.
+fn planned_bytes(shape: &Shape, dtype: DType) -> Result<u64> {
+    shape
+        .dims()
+        .iter()
+        .try_fold(dtype.size_of(), |acc, &d| acc.checked_mul(d))
+        .map(|n| n as u64)
+        .ok_or_else(|| VmError::msg(format!("planned tensor {shape} {dtype} overflows")))
+}
+
 /// Trace category for an instruction's profiler bucket.
 fn obs_cat(category: Category) -> ObsCat {
     match category {
@@ -65,9 +76,10 @@ fn obs_cat(category: Category) -> ObsCat {
 /// the run's profiler.
 ///
 /// Sessions are cheap to create, and reusing one across runs recycles its
-/// frame allocations (call frames are hot on recursive models) *and* its
-/// dynamic-tensor storage (the [`StorageArena`] — blocks freed by one
-/// request serve the next without touching the allocator). A session may
+/// frame allocations (call frames are hot on recursive models), its
+/// kernel-argument vectors, *and* its tensor storage (the
+/// [`StorageArena`] — element buffers freed by one request serve the next
+/// without touching the allocator). A session may
 /// only be used with one run at a time, but many sessions can execute
 /// against the same shared [`VirtualMachine`] concurrently.
 #[derive(Debug)]
@@ -78,10 +90,14 @@ pub struct Session {
     /// GPU stream lane this session's kernels launch on (wraps modulo the
     /// device set's lane count; irrelevant on CPU-only sets).
     lane: usize,
-    /// Storage recycler for `AllocStorage`/`AllocTensorReg`; `None` runs
-    /// every allocation straight against the device pools
-    /// (`NIMBLE_ARENA=off`, or an explicitly arena-less session).
+    /// Element-buffer recycler for `AllocTensor`/`AllocTensorReg`; `None`
+    /// allocates every planned tensor fresh (`NIMBLE_ARENA=off`, or an
+    /// explicitly arena-less session).
     arena: Option<Arc<StorageArena>>,
+    /// `InvokePacked` argument vectors, reused across calls: the resolved
+    /// inputs and the planned outputs the kernel writes.
+    inputs: Vec<Tensor>,
+    outputs: Vec<Tensor>,
     /// Whether the current run is inside a sampled trace (set at the top
     /// of [`VirtualMachine::run_in`]; gates per-instruction span records).
     traced: bool,
@@ -116,12 +132,14 @@ impl Session {
             frames: Vec::new(),
             lane,
             arena,
+            inputs: Vec::new(),
+            outputs: Vec::new(),
             traced: false,
         }
     }
 
-    /// A session that bypasses arena recycling entirely (every storage
-    /// allocation hits the device pool) — the ablation/differential
+    /// A session that bypasses arena recycling entirely (every planned
+    /// tensor gets a fresh zeroed buffer) — the ablation/differential
     /// baseline.
     pub fn without_arena() -> Session {
         Session::with_lane_and_arena(0, None)
@@ -157,6 +175,10 @@ pub struct VirtualMachine {
     /// Kernel names interned at load time so trace spans can carry them
     /// as plain `&'static str` words.
     kernel_names: Vec<&'static str>,
+    /// The static shape of every `AllocTensor`, interned at load time per
+    /// function and pc (`None` at every other pc), so allocating a planned
+    /// tensor never builds a shape.
+    alloc_shapes: Vec<Vec<Option<Shape>>>,
     devices: Arc<DeviceSet>,
     constants: Vec<Object>,
     profiling: AtomicBool,
@@ -222,11 +244,27 @@ impl VirtualMachine {
             };
             constants.push(Object::tensor_on(t.clone(), dev));
         }
+        let alloc_shapes = exe
+            .functions
+            .iter()
+            .map(|f| {
+                f.code
+                    .iter()
+                    .map(|inst| match inst {
+                        Instruction::AllocTensor { shape, .. } => {
+                            Some(shape.iter().map(|&d| d as usize).collect())
+                        }
+                        _ => None,
+                    })
+                    .collect()
+            })
+            .collect();
         Ok(VirtualMachine {
             exe: Arc::new(exe),
             kernels,
             kernel_is_shape_func,
             kernel_names,
+            alloc_shapes,
             devices,
             constants,
             profiling: AtomicBool::new(false),
@@ -388,15 +426,27 @@ impl VirtualMachine {
         })
     }
 
-    /// Storage allocation for `AllocStorage`/`AllocTensorReg`: through the
-    /// session's arena when it has one (recycled block on hit), straight
-    /// from the device pool otherwise.
-    fn alloc_storage(&self, session: &Session, size: u64, dev: DeviceId) -> Arc<StorageHandle> {
-        let pool = self.devices.pool_arc(dev);
-        Arc::new(match &session.arena {
-            Some(arena) => StorageHandle::alloc_in(arena, pool, size, dev),
-            None => StorageHandle::alloc(pool, size, dev),
-        })
+    /// A planned tensor for `AllocTensor`/`AllocTensorReg` in a storage of
+    /// `nbytes`: its element buffer comes from the session's arena (and
+    /// returns there when the last tensor sharing it drops), or is freshly
+    /// zeroed without one. The kernel that consumes it overwrites it.
+    fn alloc_tensor(
+        arena: Option<&Arc<StorageArena>>,
+        nbytes: u64,
+        shape: Shape,
+        dtype: DType,
+    ) -> Result<Tensor> {
+        planned_bytes(&shape, dtype)?;
+        let len = shape.volume();
+        let made = match arena {
+            Some(arena) => {
+                let data = arena.acquire(dtype, nbytes as usize, len);
+                let home: Arc<dyn Recycle> = arena.clone();
+                Tensor::from_parts(data, shape, Some(home))
+            }
+            None => Tensor::from_parts(Data::zeros(dtype, len), shape, None),
+        };
+        made.map_err(VmError::from)
     }
 
     /// Interned scalar for small non-negative immediates; allocates
@@ -481,6 +531,7 @@ impl VirtualMachine {
             let mut nested_ns = 0u64;
             let mut next_pc = pc + 1;
             let mut ret: Option<Object> = None;
+            let shapes = &self.alloc_shapes[func_idx as usize];
 
             match inst {
                 Instruction::Move { src, dst } => {
@@ -540,7 +591,7 @@ impl VirtualMachine {
                         DeviceId::from_index(*device as usize),
                         is_sf,
                         &mut regs,
-                        session.lane,
+                        session,
                     )?;
                 }
                 Instruction::AllocStorage {
@@ -549,24 +600,34 @@ impl VirtualMachine {
                     device,
                     dst,
                 } => {
-                    let dev = DeviceId::from_index(*device as usize);
                     span_arg = *size;
-                    regs[*dst as usize] = Object::Storage(self.alloc_storage(session, *size, dev));
+                    regs[*dst as usize] = Object::Storage(StorageHandle {
+                        size: *size,
+                        device: DeviceId::from_index(*device as usize),
+                    });
                 }
                 Instruction::AllocTensor {
                     storage,
                     offset: _,
-                    shape,
+                    shape: _,
                     dtype,
                     dst,
                 } => {
                     let handle = match &regs[*storage as usize] {
-                        Object::Storage(h) => Some(Arc::clone(h)),
-                        _ => None,
+                        Object::Storage(h) => *h,
+                        other => {
+                            return Err(VmError::msg(format!(
+                                "AllocTensor: expected storage, got {}",
+                                other.kind_name()
+                            )))
+                        }
                     };
-                    let dev = handle.as_ref().map(|h| h.device).unwrap_or(DeviceId::Cpu);
-                    let dims: Vec<usize> = shape.iter().map(|&d| d as usize).collect();
-                    regs[*dst as usize] = Object::placeholder(dims, *dtype, dev, handle);
+                    let shape = shapes[pc as usize]
+                        .clone()
+                        .expect("AllocTensor shapes are interned at load");
+                    let tensor =
+                        Self::alloc_tensor(session.arena.as_ref(), handle.size, shape, *dtype)?;
+                    regs[*dst as usize] = Object::tensor_on(tensor, handle.device);
                 }
                 Instruction::AllocTensorReg {
                     shape,
@@ -575,19 +636,17 @@ impl VirtualMachine {
                     dst,
                 } => {
                     let shape_t = regs[*shape as usize].wait_tensor()?;
-                    let dims: Vec<usize> = shape_t
+                    let dims: Shape = shape_t
                         .as_i64()
                         .map_err(VmError::from)?
                         .iter()
                         .map(|&d| d as usize)
                         .collect();
-                    let dev = DeviceId::from_index(*device as usize);
-                    // Dynamic allocation draws real storage — from the
-                    // session arena when one is attached, the pool otherwise.
-                    let nbytes: usize = dims.iter().product::<usize>() * dtype.size_of();
-                    span_arg = nbytes as u64;
-                    let handle = self.alloc_storage(session, nbytes as u64, dev);
-                    regs[*dst as usize] = Object::placeholder(dims, *dtype, dev, Some(handle));
+                    let nbytes = planned_bytes(&dims, *dtype)?;
+                    span_arg = nbytes;
+                    let tensor = Self::alloc_tensor(session.arena.as_ref(), nbytes, dims, *dtype)?;
+                    regs[*dst as usize] =
+                        Object::tensor_on(tensor, DeviceId::from_index(*device as usize));
                 }
                 Instruction::AllocADT { tag, fields, dst } => {
                     let fs: Vec<Object> =
@@ -677,8 +736,11 @@ impl VirtualMachine {
                 }
                 Instruction::ShapeOf { tensor, dst } => {
                     // Shape metadata is host-resident: no synchronization.
-                    let dims = regs[*tensor as usize].tensor_shape()?;
-                    let shape: Vec<i64> = dims.iter().map(|&d| d as i64).collect();
+                    let shape: Vec<i64> = regs[*tensor as usize]
+                        .tensor_shape()?
+                        .iter()
+                        .map(|&d| d as i64)
+                        .collect();
                     let n = shape.len();
                     regs[*dst as usize] =
                         Object::tensor(Tensor::from_vec_i64(shape, &[n]).map_err(VmError::from)?);
@@ -730,6 +792,11 @@ impl VirtualMachine {
         }
     }
 
+    /// Run one kernel call. On the CPU the kernel writes the planned
+    /// tensors of its output registers in place, reading its inputs
+    /// through the session's reusable argument vectors; on a GPU lane the
+    /// job takes the planned outputs along and the registers become
+    /// futures.
     #[allow(clippy::too_many_arguments)]
     fn invoke_packed(
         &self,
@@ -739,7 +806,7 @@ impl VirtualMachine {
         device: DeviceId,
         is_shape_func: bool,
         regs: &mut [Object],
-        lane: usize,
+        session: &mut Session,
     ) -> Result<()> {
         let kernel = self
             .kernels
@@ -750,100 +817,160 @@ impl VirtualMachine {
             return Err(VmError::msg("InvokePacked: fewer args than outputs"));
         }
         let (in_regs, out_regs) = arg_regs.split_at(arg_regs.len() - n_out);
+        // The planned output tensors, taken out of their registers; shape
+        // functions' output registers are unplanned (empty), and then the
+        // kernel allocates its outputs.
+        let mut outputs = std::mem::take(&mut session.outputs);
+        outputs.clear();
+        for (i, &r) in out_regs.iter().enumerate() {
+            match std::mem::take(&mut regs[r as usize]) {
+                Object::Tensor(t) if outputs.len() == i => outputs.push(t.tensor),
+                Object::Unit if outputs.is_empty() => {}
+                other => {
+                    session.outputs = outputs;
+                    return Err(VmError::msg(format!(
+                        "{}: output register {r} holds {}, expected {}",
+                        kernel.name(),
+                        other.kind_name(),
+                        if i == 0 {
+                            "a planned tensor or nothing"
+                        } else {
+                            "the same as output 0"
+                        }
+                    )));
+                }
+            }
+        }
 
         let run_on_gpu = device == DeviceId::Gpu && self.devices.has_gpu() && !is_shape_func;
         if !run_on_gpu {
             // Synchronous CPU execution (shape functions always land here).
-            let inputs: Vec<Tensor> = in_regs
-                .iter()
-                .map(|&r| regs[r as usize].wait_tensor())
-                .collect::<Result<_>>()?;
-            // Shape-specialization seam: with a hook installed, compute
-            // kernels may be swapped for a shape-concretized variant now
-            // that the concrete input shapes are known. The clone returned
-            // by the hook pins the specialized kernel for the duration of
-            // this invoke, so concurrent eviction cannot strand us.
-            let specialized: Option<Kernel> =
-                if !is_shape_func && self.hook_active.load(Ordering::Acquire) {
-                    self.hook
-                        .read()
-                        .unwrap()
-                        .as_ref()
-                        .and_then(|h| h.intercept(kernel_idx, &inputs))
-                } else {
-                    None
-                };
-            let kernel = specialized.as_ref().unwrap_or(kernel);
-            let outputs = kernel
-                .invoke(&inputs)
-                .map_err(|e| VmError::msg(format!("{}: {e}", kernel.name())))?;
-            if outputs.len() != n_out {
-                return Err(VmError::msg(format!(
-                    "{}: produced {} outputs, expected {}",
-                    kernel.name(),
-                    outputs.len(),
-                    n_out
-                )));
+            let mut inputs = std::mem::take(&mut session.inputs);
+            let result = self.run_cpu_kernel(
+                kernel,
+                kernel_idx,
+                in_regs,
+                regs,
+                is_shape_func,
+                &mut inputs,
+                &mut outputs,
+                n_out,
+            );
+            // Drop the input references now, so their buffers can return
+            // to the arena as soon as their registers are killed.
+            inputs.clear();
+            session.inputs = inputs;
+            if let Err(e) = result {
+                outputs.clear();
+                session.outputs = outputs;
+                return Err(e);
             }
-            for (i, out) in outputs.into_iter().enumerate() {
-                let slot = out_regs[i] as usize;
-                // Keep the storage handle from the pre-allocated buffer so
-                // planned lifetimes hold.
-                let storage = match &regs[slot] {
-                    Object::Tensor(t) => t.storage.clone(),
-                    _ => None,
-                };
-                regs[slot] = Object::Tensor(TensorObj {
-                    tensor: out,
-                    device,
-                    storage,
-                    declared: None,
-                });
+            for (&slot, tensor) in out_regs.iter().zip(outputs.drain(..)) {
+                regs[slot as usize] = Object::tensor_on(tensor, device);
             }
+            session.outputs = outputs;
             return Ok(());
         }
 
-        // Asynchronous GPU launch: inputs are snapshotted, outputs become
-        // futures carrying host-known metadata from the pre-allocated
-        // buffers.
+        // Asynchronous GPU launch: inputs are snapshotted and the output
+        // registers become futures carrying the planned shapes and dtypes.
+        // The job draws its output buffers from the session arena when the
+        // lane runs it, in stream order: holding the planned buffers from
+        // launch would pin a request's whole launch backlog at once.
+        if outputs.len() != n_out {
+            session.outputs = outputs;
+            return Err(VmError::msg(format!(
+                "{}: a device launch needs planned outputs",
+                kernel.name()
+            )));
+        }
+        let planned: Vec<(Shape, DType)> = outputs
+            .drain(..)
+            .map(|t| (t.shape().clone(), t.dtype()))
+            .collect();
+        session.outputs = outputs;
         let inputs: Vec<Object> = in_regs.iter().map(|&r| regs[r as usize].clone()).collect();
         let future = TensorFuture::pending();
-        let job_future = future.clone();
+        for (i, (&slot, (shape, dtype))) in out_regs.iter().zip(&planned).enumerate() {
+            regs[slot as usize] = Object::Future(FutureObj {
+                future: future.clone(),
+                output_index: i,
+                shape: shape.clone(),
+                dtype: *dtype,
+                device: DeviceId::Gpu,
+            });
+        }
+        let job_future = future;
         let job_kernel = kernel.clone();
-        self.devices.gpu_lane(lane).launch(move || {
-            let mut tensors = Vec::with_capacity(inputs.len());
-            for obj in &inputs {
-                match obj.wait_tensor() {
-                    Ok(t) => tensors.push(t),
-                    Err(e) => {
-                        job_future.fail(e.to_string());
-                        return;
-                    }
+        let arena = session.arena.clone();
+        self.devices.gpu_lane(session.lane).launch(move || {
+            let run = || -> Result<Vec<Tensor>> {
+                let mut tensors = Vec::with_capacity(inputs.len());
+                for obj in &inputs {
+                    tensors.push(obj.wait_tensor()?);
                 }
-            }
-            match job_kernel.invoke(&tensors) {
+                let mut outs = Vec::with_capacity(planned.len());
+                for (shape, dtype) in planned {
+                    let nbytes = (shape.volume() * dtype.size_of()) as u64;
+                    outs.push(Self::alloc_tensor(arena.as_ref(), nbytes, shape, dtype)?);
+                }
+                job_kernel
+                    .invoke_into(&tensors, &mut outs)
+                    .map_err(|e| VmError::msg(format!("{}: {e}", job_kernel.name())))?;
+                Ok(outs)
+            };
+            match run() {
                 Ok(outs) => job_future.fulfill(outs),
                 Err(e) => job_future.fail(e.to_string()),
             }
         });
-        for (i, &slot) in out_regs.iter().enumerate() {
-            let slot = slot as usize;
-            let (shape, dtype) = match &regs[slot] {
-                Object::Tensor(t) => (
-                    t.declared
-                        .clone()
-                        .unwrap_or_else(|| t.tensor.dims().to_vec()),
-                    t.tensor.dtype(),
-                ),
-                _ => (Vec::new(), nimble_tensor::DType::F32),
+        Ok(())
+    }
+
+    /// The CPU half of [`VirtualMachine::invoke_packed`]: resolve the
+    /// inputs into `inputs`, let the dispatch hook swap the kernel, and run
+    /// it into the planned `outputs` (or fresh ones when nothing was
+    /// planned), checking that it produced all `n_out` outputs.
+    #[allow(clippy::too_many_arguments)]
+    fn run_cpu_kernel(
+        &self,
+        kernel: &Kernel,
+        kernel_idx: u32,
+        in_regs: &[u32],
+        regs: &[Object],
+        is_shape_func: bool,
+        inputs: &mut Vec<Tensor>,
+        outputs: &mut Vec<Tensor>,
+        n_out: usize,
+    ) -> Result<()> {
+        for &r in in_regs {
+            inputs.push(regs[r as usize].wait_tensor()?);
+        }
+        // Shape-specialization seam: with a hook installed, compute
+        // kernels may be swapped for a shape-concretized variant now that
+        // the concrete input shapes are known. The clone returned by the
+        // hook pins the specialized kernel for the duration of this
+        // invoke, so concurrent eviction cannot strand us.
+        let specialized: Option<Kernel> =
+            if !is_shape_func && self.hook_active.load(Ordering::Acquire) {
+                self.hook
+                    .read()
+                    .unwrap()
+                    .as_ref()
+                    .and_then(|h| h.intercept(kernel_idx, inputs))
+            } else {
+                None
             };
-            regs[slot] = Object::Future(FutureObj {
-                future: future.clone(),
-                output_index: i,
-                shape,
-                dtype,
-                device: DeviceId::Gpu,
-            });
+        let kernel = specialized.as_ref().unwrap_or(kernel);
+        kernel
+            .invoke_into(inputs, outputs)
+            .map_err(|e| VmError::msg(format!("{}: {e}", kernel.name())))?;
+        if outputs.len() != n_out {
+            return Err(VmError::msg(format!(
+                "{}: produced {} outputs, expected {n_out}",
+                kernel.name(),
+                outputs.len(),
+            )));
         }
         Ok(())
     }

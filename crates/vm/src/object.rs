@@ -5,100 +5,34 @@
 //! reference counted, copied on write, and passed by reference, so
 //! register operations are cheap even for large payloads.
 
-use crate::arena::StorageArena;
 use crate::{Result, VmError};
-use nimble_device::{DeviceId, MemoryPool, StorageBlock, TensorFuture};
-use nimble_tensor::Tensor;
-use parking_lot::Mutex;
+use nimble_device::{DeviceId, TensorFuture};
+use nimble_tensor::{Shape, Tensor};
 use std::sync::Arc;
 
-/// A storage region allocated by `AllocStorage`; when the last reference
-/// drops the block returns to its session's [`StorageArena`] (recycled for
-/// the next request) or, for arena-less allocations, straight to its pool.
-#[derive(Debug)]
+/// A storage region allocated by `AllocStorage`: the planned byte size and
+/// device of the tensors that `AllocTensor` places in it.
+///
+/// The memory plan only emits offset 0 (one live tensor per storage at a
+/// time), so a storage holds no memory of its own: `AllocTensor` draws the
+/// tensor's element buffer from the session arena under the storage's size
+/// class, and the buffer returns to the arena when the last tensor sharing
+/// it drops. Allocating a storage therefore costs no heap allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StorageHandle {
-    /// Requested size in bytes.
+    /// Planned size in bytes.
     pub size: u64,
     /// Device the storage lives on.
     pub device: DeviceId,
-    block: Mutex<Option<StorageBlock>>,
-    pool: Arc<MemoryPool>,
-    /// The arena this block recycles into; also keeps the arena alive for
-    /// handles that escape their session (result tensors).
-    arena: Option<Arc<StorageArena>>,
 }
 
-impl StorageHandle {
-    /// Allocate from a pool (no recycling on drop).
-    pub fn alloc(pool: Arc<MemoryPool>, size: u64, device: DeviceId) -> StorageHandle {
-        let block = pool.alloc(size as usize);
-        StorageHandle {
-            size,
-            device,
-            block: Mutex::new(Some(block)),
-            pool,
-            arena: None,
-        }
-    }
-
-    /// Allocate through an arena: recycled block on hit, `pool.alloc` on
-    /// miss; the block returns to the arena when the handle drops.
-    pub fn alloc_in(
-        arena: &Arc<StorageArena>,
-        pool: Arc<MemoryPool>,
-        size: u64,
-        device: DeviceId,
-    ) -> StorageHandle {
-        let block = arena.acquire(&pool, size as usize, device);
-        StorageHandle {
-            size,
-            device,
-            block: Mutex::new(Some(block)),
-            pool,
-            arena: Some(Arc::clone(arena)),
-        }
-    }
-
-    /// Identity and capacity of the backing block, as
-    /// `(address, capacity)` — test instrumentation for aliasing checks.
-    pub fn block_id(&self) -> Option<(usize, usize)> {
-        self.block
-            .lock()
-            .as_ref()
-            .map(|b| (b.bytes().as_ptr() as usize, b.capacity()))
-    }
-
-    /// Whether this handle recycles into an arena.
-    pub fn arena_backed(&self) -> bool {
-        self.arena.is_some()
-    }
-}
-
-impl Drop for StorageHandle {
-    fn drop(&mut self) {
-        if let Some(block) = self.block.lock().take() {
-            match &self.arena {
-                Some(arena) => arena.release(block, &self.pool, self.device),
-                None => self.pool.free(block),
-            }
-        }
-    }
-}
-
-/// A tensor resident on a device, optionally backed by explicit storage
-/// (keeping the storage alive for the tensor's lifetime, which is what
-/// makes `kill` + refcounting reclaim coalesced buffers correctly).
+/// A tensor resident on a device. Cloning one never allocates.
 #[derive(Debug, Clone)]
 pub struct TensorObj {
     /// The tensor payload.
     pub tensor: Tensor,
     /// Residency.
     pub device: DeviceId,
-    /// Backing storage handle, when allocated via `AllocTensor`.
-    pub storage: Option<Arc<StorageHandle>>,
-    /// For placeholder outputs created by `AllocTensor`/`AllocTensorReg`:
-    /// the declared shape the kernel will fill. `None` once materialized.
-    pub declared: Option<Vec<usize>>,
 }
 
 /// A pending asynchronous kernel output: shape/dtype metadata is known on
@@ -111,7 +45,7 @@ pub struct FutureObj {
     /// Which output of the kernel this register refers to.
     pub output_index: usize,
     /// Host-known shape metadata.
-    pub shape: Vec<usize>,
+    pub shape: Shape,
     /// Host-known dtype.
     pub dtype: nimble_tensor::DType,
     /// Residency of the eventual tensor.
@@ -149,8 +83,8 @@ pub enum Object {
     Tensor(TensorObj),
     /// Pending asynchronous tensor.
     Future(FutureObj),
-    /// Raw storage region.
-    Storage(Arc<StorageHandle>),
+    /// Planned storage region.
+    Storage(StorageHandle),
     /// ADT value / tuple.
     Adt(Arc<AdtObj>),
     /// Closure.
@@ -160,39 +94,12 @@ pub enum Object {
 impl Object {
     /// Wrap a CPU tensor.
     pub fn tensor(t: Tensor) -> Object {
-        Object::Tensor(TensorObj {
-            tensor: t,
-            device: DeviceId::Cpu,
-            storage: None,
-            declared: None,
-        })
+        Object::tensor_on(t, DeviceId::Cpu)
     }
 
     /// Wrap a tensor on a device.
     pub fn tensor_on(t: Tensor, device: DeviceId) -> Object {
-        Object::Tensor(TensorObj {
-            tensor: t,
-            device,
-            storage: None,
-            declared: None,
-        })
-    }
-
-    /// A placeholder output buffer of declared shape/dtype, optionally
-    /// backed by explicit storage. The kernel invocation that consumes it
-    /// replaces it with the materialized tensor.
-    pub fn placeholder(
-        shape: Vec<usize>,
-        dtype: nimble_tensor::DType,
-        device: DeviceId,
-        storage: Option<Arc<StorageHandle>>,
-    ) -> Object {
-        Object::Tensor(TensorObj {
-            tensor: Tensor::zeros(dtype, &[0]),
-            device,
-            storage,
-            declared: Some(shape),
-        })
+        Object::Tensor(TensorObj { tensor: t, device })
     }
 
     /// Build a tuple object.
@@ -238,13 +145,10 @@ impl Object {
     ///
     /// # Errors
     /// Fails for non-tensor objects.
-    pub fn tensor_shape(&self) -> Result<Vec<usize>> {
+    pub fn tensor_shape(&self) -> Result<&[usize]> {
         match self {
-            Object::Tensor(t) => Ok(t
-                .declared
-                .clone()
-                .unwrap_or_else(|| t.tensor.dims().to_vec())),
-            Object::Future(f) => Ok(f.shape.clone()),
+            Object::Tensor(t) => Ok(t.tensor.dims()),
+            Object::Future(f) => Ok(f.shape.dims()),
             other => Err(VmError::msg(format!(
                 "expected tensor object, got {}",
                 other.kind_name()
@@ -316,39 +220,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn storage_returns_to_pool_on_drop() {
-        let pool = Arc::new(MemoryPool::new(true));
-        {
-            let _h = StorageHandle::alloc(Arc::clone(&pool), 100, DeviceId::Cpu);
-            assert_eq!(pool.stats().live_bytes, 128);
-        }
-        assert_eq!(pool.stats().live_bytes, 0);
-        assert_eq!(pool.stats().frees, 1);
-    }
-
-    #[test]
-    fn arena_backed_handle_recycles_on_drop() {
-        let pool = Arc::new(MemoryPool::new(true));
-        let arena = Arc::new(crate::arena::StorageArena::new());
-        let id1 = {
-            let h = StorageHandle::alloc_in(&arena, Arc::clone(&pool), 100, DeviceId::Cpu);
-            assert!(h.arena_backed());
-            h.block_id().unwrap()
-        };
-        // The block parked in the arena, so the pool still counts it live.
-        assert_eq!(pool.stats().live_bytes, 128);
-        assert_eq!(arena.retained_bytes(), 128);
-        // Same-class allocation reuses it without touching the pool.
-        let h2 = StorageHandle::alloc_in(&arena, Arc::clone(&pool), 90, DeviceId::Cpu);
-        assert_eq!(h2.block_id().unwrap().0, id1.0);
-        assert_eq!(pool.stats().allocs, 1);
-        drop(h2);
-        // Dropping the arena returns parked blocks to the pool.
-        drop(arena);
-        assert_eq!(pool.stats().live_bytes, 0);
-    }
-
-    #[test]
     fn object_accessors() {
         let o = Object::tensor(Tensor::scalar_f32(2.0));
         assert_eq!(o.device(), DeviceId::Cpu);
@@ -393,12 +264,12 @@ mod tests {
         let obj = Object::Future(FutureObj {
             future: f.clone(),
             output_index: 0,
-            shape: vec![3, 4],
+            shape: Shape::new(&[3, 4]),
             dtype: nimble_tensor::DType::F32,
             device: DeviceId::Gpu,
         });
         // Shape is available before the future resolves.
-        assert_eq!(obj.tensor_shape().unwrap(), vec![3, 4]);
+        assert_eq!(obj.tensor_shape().unwrap(), [3, 4]);
         assert_eq!(obj.device(), DeviceId::Gpu);
         f.fulfill(vec![Tensor::ones_f32(&[3, 4])]);
         assert_eq!(obj.wait_tensor().unwrap().dims(), &[3, 4]);

@@ -1,8 +1,10 @@
 //! Differential test for the session storage arena: random dynamic-shape
 //! programs executed arena-on and arena-off must produce bitwise-identical
-//! outputs, with the arena poisoning every recycled block (debug fill) so
-//! any read of stale bytes out of a recycled block would change a result
-//! and fail the comparison.
+//! outputs. Kernels write their outputs straight into arena buffers, and
+//! the arena poisons every buffer it hands out (NaN for `f32`), so a
+//! kernel that read its output before writing all of it would change a
+//! result and fail the comparison — the last test proves the comparison
+//! catches exactly that.
 //!
 //! The programs come from the same recipe family as the root compiler
 //! fuzzer: chains of elementwise ops (optionally anchored by a dense)
@@ -113,12 +115,13 @@ proptest! {
         let module = build(&recipe);
         let (exe, _) = compile(&module, &CompileOptions::default()).unwrap();
         let vm = VirtualMachine::new(exe, Arc::new(DeviceSet::cpu_only())).unwrap();
-        // Poison explicitly on (not just in debug builds): a stale read
-        // from a recycled block would see 0xA5 garbage and diverge.
+        // Poison explicitly on (not just in debug builds): a kernel reading
+        // an element of its planned output before writing it would see NaN
+        // and diverge.
         let arena = Arc::new(StorageArena::with_poison(true));
         let mut on = Session::with_lane_and_arena(0, Some(Arc::clone(&arena)));
         let mut off = Session::without_arena();
-        // Repeats per shape make the second pass land on recycled blocks;
+        // Repeats per shape make the second pass land on recycled buffers;
         // the shape sweep exercises cross-shape recycling within classes.
         for rows in [3usize, 1, 5, 3, 8, 5, 1] {
             for rep in 0..2u64 {
@@ -140,29 +143,98 @@ proptest! {
     }
 }
 
-/// The recycled blocks really are poisoned: allocate through a session's
-/// arena, drop, and re-allocate — the recycled block must come back filled
-/// with the poison byte, proving blocks carry no stale payload bytes into
-/// their next life.
+/// A program whose one kernel is `relu(x)`, for the wrong-kernel test.
+fn relu_module() -> Module {
+    let mut fb = FunctionBuilder::new("main");
+    let x = fb.param(
+        "x",
+        TensorType::with_any(&[None, Some(COLS as u64)], DType::F32),
+    );
+    let y = Expr::call_op("relu", vec![x], Attrs::new());
+    let mut module = Module::new();
+    module.add_function("main", fb.finish(y));
+    module
+}
+
+/// Swaps every compute kernel for one that *accumulates* into its output
+/// (`out += relu(x)`) instead of overwriting it — a destination-passing
+/// bug that fresh zeroed outputs hide.
+struct Accumulate;
+
+impl nimble_vm::DispatchHook for Accumulate {
+    fn intercept(
+        &self,
+        _kernel: u32,
+        _inputs: &[Tensor],
+    ) -> Option<nimble_codegen::kernel::Kernel> {
+        Some(nimble_codegen::kernel::Kernel::new(
+            "accumulate",
+            |inputs, outs| {
+                let x = inputs[0].as_f32()?;
+                let out = nimble_tensor::dest::slot_f32("accumulate", outs, 0, inputs[0].dims())?;
+                for (o, &v) in out.iter_mut().zip(x) {
+                    *o += v.max(0.0);
+                }
+                Ok(())
+            },
+        ))
+    }
+}
+
+/// The poison makes the differential comparison a real detector: with the
+/// accumulating kernel installed, arena-off (fresh zeroed outputs) still
+/// computes `relu(x)`, while arena-on reads the NaN-poisoned buffer and
+/// disagrees.
 #[test]
-fn recycled_blocks_are_poisoned() {
+fn accumulating_kernel_fails_the_arena_comparison() {
+    let (exe, _) = compile(&relu_module(), &CompileOptions::default()).unwrap();
+    let vm = VirtualMachine::new(exe, Arc::new(DeviceSet::cpu_only())).unwrap();
+    let mut on = Session::with_lane_and_arena(0, Some(Arc::new(StorageArena::with_poison(true))));
+    let mut off = Session::without_arena();
+    let x = || inputs(3, 7).swap_remove(0);
+    let want = bits_of(&vm.run_in(&mut off, "main", vec![x()]).unwrap());
+    vm.set_dispatch_hook(Some(Arc::new(Accumulate)));
+    let wrong_off = bits_of(&vm.run_in(&mut off, "main", vec![x()]).unwrap());
+    let wrong_on = bits_of(&vm.run_in(&mut on, "main", vec![x()]).unwrap());
+    assert_eq!(
+        wrong_off, want,
+        "arena-off hides the bug: outputs start zeroed"
+    );
+    assert_ne!(
+        wrong_on, wrong_off,
+        "the arena comparison must catch the bug"
+    );
+    vm.set_dispatch_hook(None);
+    assert_eq!(
+        bits_of(&vm.run_in(&mut on, "main", vec![x()]).unwrap()),
+        want
+    );
+}
+
+/// Buffers handed out by the arena are poisoned with the NaN pattern, and
+/// a dropped tensor's buffer is what the next same-class request gets.
+#[test]
+fn recycled_buffers_are_poisoned() {
     let arena = Arc::new(StorageArena::with_poison(true));
-    let pool = Arc::new(nimble_device::MemoryPool::new(true));
-    let first = nimble_vm::StorageHandle::alloc_in(
-        &arena,
-        Arc::clone(&pool),
-        256,
-        nimble_device::DeviceId::Cpu,
-    );
-    let addr = first.block_id().unwrap().0;
+    let take = |nbytes: usize, len: usize| {
+        let home: Arc<dyn nimble_tensor::Recycle> = arena.clone();
+        let data = arena.acquire(DType::F32, nbytes, len);
+        Tensor::from_parts(data, nimble_tensor::Shape::new(&[len]), Some(home)).unwrap()
+    };
+    let mut first = take(256, 64);
+    first.as_f32_mut().unwrap().fill(1.5);
+    let addr = first.as_f32().unwrap().as_ptr();
     drop(first);
-    let second = nimble_vm::StorageHandle::alloc_in(
-        &arena,
-        Arc::clone(&pool),
-        200,
-        nimble_device::DeviceId::Cpu,
+    let second = take(200, 50);
+    assert_eq!(
+        second.as_f32().unwrap().as_ptr(),
+        addr,
+        "same-class request must recycle"
     );
-    let (addr2, _) = second.block_id().unwrap();
-    assert_eq!(addr, addr2, "same-class allocation must recycle");
     assert_eq!(arena.stats().hits, 1);
+    assert!(second
+        .as_f32()
+        .unwrap()
+        .iter()
+        .all(|v| v.to_bits() == nimble_vm::arena::POISON_F32_BITS));
 }

@@ -1,30 +1,29 @@
 //! Property tests for the session storage arena.
 //!
-//! 1. Under random alloc/kill sequences, no two live `StorageHandle`s
-//!    ever alias the same arena block (a double-pop or double-park bug
-//!    would hand one buffer to two owners).
+//! 1. Under random alloc/kill sequences, no two live tensors ever share
+//!    an arena buffer (a double-pop or double-park bug would hand one
+//!    buffer to two owners).
 //! 2. `live_bytes` accounting is exact: at every step the arena's gauge
-//!    equals the summed capacity of the live handles, and it returns to
-//!    zero once every handle is gone; dropping the arena returns every
-//!    parked block to the pool (pool `live_bytes` back to baseline — the
-//!    leak check).
+//!    equals the summed capacity of the live tensors' buffers, and it
+//!    returns to zero once every tensor is gone; trimming then frees every
+//!    parked buffer (the leak check).
 //! 3. The same holds at the VM level: after running programs through an
 //!    arena session and dropping every result and the session, the arena
-//!    holds no live bytes and the device pool balances.
+//!    holds no live bytes and trims to zero.
 
 use nimble_core::{compile, CompileOptions};
-use nimble_device::{size_class, DeviceId, DeviceSet, MemoryPool};
+use nimble_device::{size_class, DeviceSet};
 use nimble_ir::builder::FunctionBuilder;
 use nimble_ir::types::TensorType;
 use nimble_ir::{Attrs, DType, Module};
-use nimble_tensor::Tensor;
-use nimble_vm::{Object, Session, StorageArena, StorageHandle, VirtualMachine};
+use nimble_tensor::{Recycle, Shape, Tensor};
+use nimble_vm::{Object, Session, StorageArena, VirtualMachine};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// One step of a random allocation workload: allocate `size` bytes, or
-/// kill the live handle at `victim` (modulo the live count).
+/// One step of a random allocation workload: allocate a tensor of `size`
+/// bytes, or kill the live tensor at `victim` (modulo the live count).
 #[derive(Debug, Clone)]
 enum Step {
     Alloc(usize),
@@ -46,18 +45,15 @@ proptest! {
 
     #[test]
     fn no_aliasing_and_exact_live_accounting(steps in arb_steps()) {
-        let pool = Arc::new(MemoryPool::new(true));
         let arena = Arc::new(StorageArena::with_poison(true));
-        let mut live: Vec<Arc<StorageHandle>> = Vec::new();
+        let mut live: Vec<(usize, Tensor)> = Vec::new();
         for step in steps {
             match step {
                 Step::Alloc(size) => {
-                    live.push(Arc::new(StorageHandle::alloc_in(
-                        &arena,
-                        Arc::clone(&pool),
-                        size as u64,
-                        DeviceId::Cpu,
-                    )));
+                    let len = size.div_ceil(4);
+                    let home: Arc<dyn Recycle> = arena.clone();
+                    let data = arena.acquire(DType::F32, size, len);
+                    live.push((size, Tensor::from_parts(data, Shape::new(&[len]), Some(home)).unwrap()));
                 }
                 Step::Kill(victim) => {
                     if !live.is_empty() {
@@ -65,28 +61,26 @@ proptest! {
                     }
                 }
             }
-            // No two live handles share a block address.
+            // No two live tensors share a buffer.
             let mut addrs = HashSet::new();
-            for h in &live {
-                let (addr, cap) = h.block_id().unwrap();
-                prop_assert!(addrs.insert(addr), "two live handles alias {addr:#x}");
-                prop_assert!(cap as u64 >= h.size, "capacity below request");
+            for (_, t) in &live {
+                let addr = t.as_f32().unwrap().as_ptr() as usize;
+                prop_assert!(addrs.insert(addr), "two live tensors alias {addr:#x}");
             }
             // The live gauge matches the summed class capacity exactly.
             let expected: u64 = live
                 .iter()
-                .map(|h| size_class(h.size as usize) as u64)
+                .map(|(size, _)| size_class(size.div_ceil(4) * 4) as u64)
                 .sum();
             prop_assert_eq!(arena.live_bytes(), expected);
         }
         // Kill everything: the arena must read zero live bytes…
         live.clear();
         prop_assert_eq!(arena.live_bytes(), 0);
-        // …and dropping the arena must return every parked block, leaving
-        // the pool balanced (no leaked storage).
-        drop(arena);
-        prop_assert_eq!(pool.stats().live_bytes, 0);
-        prop_assert_eq!(pool.stats().allocs, pool.stats().frees + pool.stats().pool_hits);
+        // …and trimming must free every parked buffer.
+        let retained = arena.retained_bytes();
+        prop_assert_eq!(arena.trim(), retained);
+        prop_assert_eq!(arena.stats().retained_blocks, 0);
     }
 }
 
@@ -106,7 +100,6 @@ fn session_drop_returns_live_bytes_to_zero() {
     let (exe, _) = compile(&dynamic_chain_module(), &CompileOptions::default()).unwrap();
     let devices = Arc::new(DeviceSet::cpu_only());
     let vm = VirtualMachine::new(exe, Arc::clone(&devices)).unwrap();
-    let baseline = devices.pool(DeviceId::Cpu).stats().live_bytes;
     let arena = Arc::new(StorageArena::with_poison(true));
     {
         let mut session = Session::with_lane_and_arena(0, Some(Arc::clone(&arena)));
@@ -115,18 +108,15 @@ fn session_drop_returns_live_bytes_to_zero() {
             let x = Object::tensor(Tensor::ones_f32(&[rows, 4]));
             results.push(vm.run_in(&mut session, "main", vec![x]).unwrap());
         }
-        // Results (and any storage they escaped with) still alive here.
+        // Results (arena buffers escaped to the caller) are still alive.
+        assert!(arena.live_bytes() > 0);
         drop(results);
         drop(session);
     }
-    // Every handle is gone: nothing is live through the arena.
-    assert_eq!(arena.live_bytes(), 0, "leaked storage: {:?}", arena.stats());
-    // Trim releases the recycled blocks; pool returns to its baseline.
+    // Every tensor is gone: nothing is live through the arena.
+    assert_eq!(arena.live_bytes(), 0, "leaked buffer: {:?}", arena.stats());
+    // Trim frees the recycled buffers.
     arena.trim();
     assert_eq!(arena.retained_bytes(), 0);
-    assert_eq!(
-        devices.pool(DeviceId::Cpu).stats().live_bytes,
-        baseline,
-        "device pool did not balance after trim"
-    );
+    assert_eq!(arena.stats().retained_blocks, 0);
 }

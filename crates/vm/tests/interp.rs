@@ -63,17 +63,22 @@ fn v10(x: f32) -> Tensor {
 fn explicit_allocation_add_on_cpu() {
     let exe = add_program(0);
     let vm = VirtualMachine::new(exe, Arc::new(DeviceSet::cpu_only())).unwrap();
-    let out = vm
-        .run(
-            "main",
-            vec![Object::tensor(v10(1.0)), Object::tensor(v10(2.0))],
-        )
-        .unwrap();
-    let t = out.wait_tensor().unwrap();
-    assert!(t.as_f32().unwrap().iter().all(|&v| v == 3.0));
-    // Storage was drawn from the pool.
-    let stats = vm.devices().pool(nimble_device::DeviceId::Cpu).stats();
-    assert_eq!(stats.allocs, 1);
+    let arena = Arc::new(nimble_vm::StorageArena::new());
+    let mut session = nimble_vm::Session::with_lane_and_arena(0, Some(Arc::clone(&arena)));
+    for _ in 0..2 {
+        let out = vm
+            .run_in(
+                &mut session,
+                "main",
+                vec![Object::tensor(v10(1.0)), Object::tensor(v10(2.0))],
+            )
+            .unwrap();
+        let t = out.wait_tensor().unwrap();
+        assert!(t.as_f32().unwrap().iter().all(|&v| v == 3.0));
+    }
+    // The output buffer was drawn from the arena once, then recycled.
+    let stats = arena.stats();
+    assert_eq!((stats.misses, stats.hits), (1, 1));
 }
 
 #[test]
@@ -300,13 +305,8 @@ fn shape_function_sizes_dynamic_allocation() {
             code: vec![
                 Instruction::ShapeOf { tensor: 0, dst: 2 },
                 Instruction::ShapeOf { tensor: 1, dst: 3 },
-                // invoke_shape_func(concat): output shape into r4's alloc.
-                Instruction::AllocTensorReg {
-                    shape: 2, // placeholder: sized like an input shape (rank 2)
-                    dtype: DType::I64,
-                    device: 0,
-                    dst: 4,
-                },
+                // invoke_shape_func(concat): the output shape lands in the
+                // unplanned register r4, as the compiler lowers it.
                 Instruction::InvokePacked {
                     kernel: 1,
                     args: vec![2, 3, 4],

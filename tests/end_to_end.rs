@@ -250,3 +250,101 @@ fn profiler_buckets_fit_in_wall_time_on_recursion() {
         );
     }
 }
+
+/// Malformed inputs reach kernels that write planned outputs: every one
+/// must come back as an error naming the failing kernel — never a
+/// slice-length panic — and the same session must then serve a valid
+/// request bitwise-identically to a fresh session.
+#[test]
+fn malformed_inputs_fail_and_the_session_keeps_serving() {
+    use nimble::models::data::TreeNode;
+    use nimble::vm::Session;
+
+    /// The same tree shape with every leaf replaced by `leaf`.
+    fn with_leaves(tree: &TreeNode, leaf: &Tensor) -> TreeNode {
+        match tree {
+            TreeNode::Leaf(_) => TreeNode::Leaf(leaf.clone()),
+            TreeNode::Node(l, r) => TreeNode::Node(
+                Box::new(with_leaves(l, leaf)),
+                Box::new(with_leaves(r, leaf)),
+            ),
+        }
+    }
+    fn bits(obj: &Object) -> Vec<u32> {
+        let t = obj.wait_tensor().unwrap();
+        let mut bits: Vec<u32> = t.as_f32().unwrap().iter().map(|v| v.to_bits()).collect();
+        bits.extend(t.dims().iter().map(|&d| d as u32));
+        bits
+    }
+    fn check(module: &nimble::ir::Module, bad: Vec<(&str, Object)>, good: Object) {
+        let (exe, _) = compile(module, &CompileOptions::default()).unwrap();
+        let vm = VirtualMachine::new(exe, Arc::new(DeviceSet::cpu_only())).unwrap();
+        let want = bits(&vm.run("main", vec![good.clone()]).unwrap());
+        let mut session = Session::new();
+        for (what, input) in bad {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                vm.run_in(&mut session, "main", vec![input])
+            }));
+            match result {
+                Ok(Err(e)) => println!("{what}: {e}"),
+                Ok(Ok(_)) => panic!("{what}: malformed input accepted"),
+                Err(_) => panic!("{what}: the VM panicked"),
+            }
+        }
+        let again = vm.run_in(&mut session, "main", vec![good]).unwrap();
+        assert_eq!(
+            bits(&again),
+            want,
+            "the session must serve bitwise-correctly"
+        );
+    }
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let lstm = LstmModel::new(LstmConfig {
+        input: 32,
+        hidden: 32,
+        layers: 1,
+        seed: 42,
+    });
+    let tokens = lstm.random_tokens(&mut rng, 6);
+    let list_of = |t: Tensor| list_object(&vec![t; 6]);
+    check(
+        &lstm.module(),
+        vec![
+            ("lstm rank-3", list_of(Tensor::ones_f32(&[1, 1, 32]))),
+            ("lstm inner dim", list_of(Tensor::ones_f32(&[1, 31]))),
+            (
+                "lstm i64",
+                list_of(Tensor::zeros(nimble::tensor::DType::I64, &[1, 32])),
+            ),
+        ],
+        list_object(&tokens),
+    );
+
+    let tree_model = TreeLstmModel::new(TreeLstmConfig {
+        input: 64,
+        hidden: 64,
+        classes: 5,
+        seed: 42,
+    });
+    let tree = tree_model.random_tree(&mut rng, 7);
+    check(
+        &tree_model.module(),
+        vec![
+            (
+                "tree rank-3",
+                with_leaves(&tree, &Tensor::ones_f32(&[1, 1, 64])).to_object(),
+            ),
+            (
+                "tree inner dim",
+                with_leaves(&tree, &Tensor::ones_f32(&[1, 63])).to_object(),
+            ),
+            (
+                "tree i64",
+                with_leaves(&tree, &Tensor::zeros(nimble::tensor::DType::I64, &[1, 64]))
+                    .to_object(),
+            ),
+        ],
+        tree.to_object(),
+    );
+}
