@@ -1,5 +1,5 @@
-//! Criterion bench behind the memory-planning study: pooled vs unpooled
-//! allocation cost in the VM.
+//! Criterion bench behind the memory-planning study: a held session with
+//! and without a storage arena recycling its element buffers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nimble_core::{compile, CompileOptions};
@@ -25,12 +25,12 @@ fn bench(c: &mut Criterion) {
     let (tok, pos) = model.inputs(&ids);
     let mut group = c.benchmark_group("memplan");
     group.sample_size(10);
-    for pooling in [true, false] {
+    for arena_on in [true, false] {
         let devices = Arc::new(DeviceSet::cpu_only());
         let vm = VirtualMachine::new(exe.clone(), devices).unwrap();
-        let arena = pooling.then(|| Arc::new(StorageArena::new()));
+        let arena = arena_on.then(|| Arc::new(StorageArena::new()));
         let mut session = Session::with_lane_and_arena(0, arena);
-        let name = if pooling { "arena" } else { "no_arena" };
+        let name = if arena_on { "arena" } else { "no_arena" };
         group.bench_function(name, |b| {
             b.iter(|| {
                 vm.run_in(

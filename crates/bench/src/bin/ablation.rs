@@ -1,5 +1,6 @@
 //! Ablation study over the design choices DESIGN.md calls out: operator
-//! fusion, storage coalescing, memory pooling, and symbolic dispatch.
+//! fusion, storage coalescing, arena buffer recycling, and symbolic
+//! dispatch.
 //! Each row disables exactly one mechanism and reports end-to-end BERT
 //! latency. Pass `--full` for reporting-quality effort.
 
@@ -46,7 +47,7 @@ fn main() {
             },
             true,
         ),
-        ("no pooling", CompileOptions::default(), false),
+        ("no arena", CompileOptions::default(), false),
         (
             "no optimizations",
             CompileOptions {
@@ -58,11 +59,11 @@ fn main() {
             false,
         ),
     ];
-    for (name, opts, pooling) in configs {
+    for (name, opts, arena_on) in configs {
         let (exe, report) = compile(&module, &opts).expect("compile");
         let devices = Arc::new(DeviceSet::cpu_only());
         let vm = VirtualMachine::new(exe, devices).expect("vm");
-        let arena = pooling.then(|| Arc::new(StorageArena::new()));
+        let arena = arena_on.then(|| Arc::new(StorageArena::new()));
         let mut session = Session::with_lane_and_arena(0, arena);
         let d = measure(effort.warmup, effort.iters, || {
             std::hint::black_box(

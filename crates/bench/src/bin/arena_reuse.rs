@@ -27,7 +27,6 @@ use nimble_core::{compile, CompileOptions};
 use nimble_device::DeviceSet;
 use nimble_models::data::list_object;
 use nimble_models::{BertConfig, BertModel, LstmConfig, LstmModel};
-use nimble_vm::isa::opcode_name;
 use nimble_vm::{Object, Session, StorageArena, VirtualMachine};
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -104,16 +103,6 @@ struct ModeResult {
     bits: Vec<Vec<u32>>,
 }
 
-/// Planned tensors allocated so far (`AllocTensor` + `AllocTensorReg`
-/// executions, from the VM's always-on instruction counts).
-fn planned_tensors(vm: &VirtualMachine) -> u64 {
-    let counts = vm.profile_report().counts;
-    (0..counts.len())
-        .filter(|&op| matches!(opcode_name(op as u8), "AllocTensor" | "AllocTensorReg"))
-        .map(|op| counts[op])
-        .sum()
-}
-
 /// Replay the workload through one persistent session: a warm-up pass,
 /// then `iters` measured passes. Counters are read as deltas around the
 /// measured passes only, so cold-start allocation is excluded in both
@@ -127,7 +116,7 @@ fn run_mode(wl: &Workload, arena: Option<Arc<StorageArena>>, iters: usize) -> Mo
         vm.run_in(&mut session, "main", req.clone())
             .expect("warmup");
     }
-    let t0 = planned_tensors(&vm);
+    let t0 = vm.profile_report().planned_tensors();
     let a0 = session.arena_stats();
     let mut bits = Vec::new();
     let start = Instant::now();
@@ -148,7 +137,7 @@ fn run_mode(wl: &Workload, arena: Option<Arc<StorageArena>>, iters: usize) -> Mo
     let fresh = if arena_on {
         a1.misses - a0.misses
     } else {
-        planned_tensors(&vm) - t0
+        vm.profile_report().planned_tensors() - t0
     };
     ModeResult {
         buffers_per_req: fresh as f64 / nreq,

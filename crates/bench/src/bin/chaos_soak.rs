@@ -10,8 +10,7 @@
 //! * every episode quiesces with `accepted == completed + failed +
 //!   expired` and `lost == 0` per model (the harness asserts this
 //!   internally, the binary re-checks the final books);
-//! * prepack, storage-arena, and device-pool memory return to the
-//!   pre-load baseline after teardown (asserted inside the harness).
+//! * prepack and storage-arena memory return to the pre-load baseline after teardown (asserted inside the harness).
 //!
 //! The default (smoke) effort is wired into CI next to `serve_mix`;
 //! `--full` runs a longer soak.

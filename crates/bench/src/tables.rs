@@ -16,7 +16,6 @@ use nimble_models::{
     cv, BertConfig, BertModel, LstmConfig, LstmModel, TreeLstmConfig, TreeLstmModel,
 };
 use nimble_tensor::Tensor;
-use nimble_vm::isa::opcode_name;
 use nimble_vm::{Object, Session, StorageArena, VirtualMachine};
 use std::sync::Arc;
 use std::time::Instant;
@@ -400,8 +399,8 @@ pub fn memplan_study(effort: Effort) -> Vec<TableResult> {
     // Part A: buffer allocations and allocation cost on BERT. Storage
     // coalescing applies to statically sized allocations, so measure it on
     // the fixed-length module (the paper's microbenchmark uses sequence
-    // length 128); the dynamic module below exercises pooled runtime
-    // allocation.
+    // length 128); the dynamic module below exercises the arena's run-time
+    // buffer recycling.
     let model = BertModel::new(bench_bert_config());
     let module = model.module();
     let static_module = model.module_static(32);
@@ -458,13 +457,7 @@ pub fn memplan_study(effort: Effort) -> Vec<TableResult> {
         // tensor without one.
         let fresh = match &arena {
             Some(a) => a.stats().misses,
-            None => {
-                let counts = vm.profile_report().counts;
-                (0..counts.len())
-                    .filter(|&op| matches!(opcode_name(op as u8), "AllocTensor" | "AllocTensorReg"))
-                    .map(|op| counts[op])
-                    .sum()
-            }
+            None => vm.profile_report().planned_tensors(),
         };
         alloc_lat.push((d, fresh, session.arena_stats()));
     }

@@ -595,7 +595,7 @@ impl Engine {
 
     /// Drain and stop: refuse new submissions, let workers finish every
     /// request already enqueued (expiring those past their deadline), then
-    /// join them and trim the worker arenas back to the device pools.
+    /// join them and trim the worker arenas.
     /// A paused engine is resumed first — a graceful drain executes the
     /// backlog, it never strands it.
     /// Idempotent; concurrent callers all block until the drain completes.
@@ -673,8 +673,8 @@ impl Engine {
         total
     }
 
-    /// Return every block parked in the worker arenas to the device pools;
-    /// yields the bytes released. In-flight requests are unaffected (their
+    /// Free every buffer parked in the worker arenas; yields the bytes
+    /// released. In-flight requests are unaffected (their
     /// storage re-parks on drop).
     pub fn trim_arenas(&self) -> u64 {
         self.arenas.iter().map(|a| a.trim()).sum()

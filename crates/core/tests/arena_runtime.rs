@@ -9,7 +9,7 @@
 //! 2. The engine's deadline-expiry path releases storage it never ran:
 //!    flooding an engine with already-expired requests leaves the worker
 //!    arenas at their idle baseline (zero live bytes), and trimming
-//!    returns the device pool to its pre-engine level.
+//!    leaves no retained bytes.
 
 use nimble_core::{compile, CompileOptions, Engine, EngineConfig};
 use nimble_device::DeviceSet;

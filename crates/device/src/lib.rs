@@ -17,16 +17,13 @@
 //! 3. **Launch overhead** — each launch pays a real enqueue/dequeue cost
 //!    through the stream's channel.
 //!
-//! The crate also provides the pooled [`MemoryPool`] allocator whose
-//! statistics regenerate the memory-planning microbenchmark of Section 6.3
-//! (allocation counts, pool-hit rates, allocation latency).
+//! Device memory is a residency tag: tensor buffers live in host memory
+//! and are recycled by the VM's per-session storage arena.
 
 pub mod future;
-pub mod pool;
 pub mod stream;
 
 pub use future::TensorFuture;
-pub use pool::{size_class, MemoryPool, PoolStats, StorageBlock};
 pub use stream::GpuStream;
 
 use nimble_tensor::Tensor;
@@ -93,11 +90,10 @@ impl CopyStats {
     }
 }
 
-/// The set of devices available to one VM instance: per-device memory
-/// pools, the optional GPU stream, and copy accounting.
+/// The set of devices available to one VM instance: the optional GPU
+/// streams and copy accounting.
 #[derive(Debug)]
 pub struct DeviceSet {
-    pools: [std::sync::Arc<MemoryPool>; 2],
     /// Independent GPU streams ("lanes"). Empty means CPU only. Kernels
     /// chained through futures stay correct across lanes (a job blocks on
     /// its input futures), so concurrent sessions can each use their own
@@ -109,13 +105,9 @@ pub struct DeviceSet {
 }
 
 impl DeviceSet {
-    /// CPU-only device set (pooling enabled).
+    /// CPU-only device set.
     pub fn cpu_only() -> DeviceSet {
         DeviceSet {
-            pools: [
-                std::sync::Arc::new(MemoryPool::new(true)),
-                std::sync::Arc::new(MemoryPool::new(true)),
-            ],
             gpu: Vec::new(),
             copies: CopyStats::default(),
             sync_count: AtomicU64::new(0),
@@ -139,10 +131,6 @@ impl DeviceSet {
     pub fn with_gpu_lanes(lanes: usize, kernel_latency: std::time::Duration) -> DeviceSet {
         assert!(lanes > 0, "a GPU device set needs at least one stream");
         DeviceSet {
-            pools: [
-                std::sync::Arc::new(MemoryPool::new(true)),
-                std::sync::Arc::new(MemoryPool::new(true)),
-            ],
             gpu: (0..lanes)
                 .map(|_| GpuStream::spawn_with_latency(kernel_latency))
                 .collect(),
@@ -150,25 +138,6 @@ impl DeviceSet {
             sync_count: AtomicU64::new(0),
             last_kernel_device: Mutex::new(DeviceId::Cpu),
         }
-    }
-
-    /// Disable or enable pooled allocation (ablation for the
-    /// memory-planning study).
-    pub fn set_pooling(&self, pooling: bool) {
-        for p in &self.pools {
-            p.set_pooling(pooling);
-        }
-    }
-
-    /// The memory pool for a device.
-    pub fn pool(&self, device: DeviceId) -> &MemoryPool {
-        &self.pools[device.index()]
-    }
-
-    /// Shared handle to a device's pool (storage objects hold this so
-    /// freed blocks return to the pool after the set's borrow ends).
-    pub fn pool_arc(&self, device: DeviceId) -> std::sync::Arc<MemoryPool> {
-        std::sync::Arc::clone(&self.pools[device.index()])
     }
 
     /// Whether a (simulated) GPU is present.

@@ -111,7 +111,9 @@ impl OpDef {
     ///
     /// Ops with a destination-passing kernel write in place; every other
     /// op computes fresh results and this one adapter copies them into the
-    /// planned tensors after checking dims and dtype. An upper-bound op
+    /// planned tensors after checking dims and dtype, except that a view
+    /// of an input (`reshape`, `expand_dims`, `squeeze`) replaces its
+    /// planned tensor without a copy. An upper-bound op
     /// (`nms`) reports its precise, smaller shape, so its results replace
     /// the bound-sized planned tensors instead.
     ///
@@ -131,7 +133,9 @@ impl OpDef {
             *outs = results;
             return Ok(());
         }
-        Ok(nimble_tensor::dest::deliver(self.name, results, outs)?)
+        Ok(nimble_tensor::dest::deliver(
+            self.name, inputs, results, outs,
+        )?)
     }
 
     /// True when fusing *through* this op's output is forbidden because its

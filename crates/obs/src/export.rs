@@ -209,7 +209,7 @@ pub fn register_collector(f: impl Fn(&mut PromBuf) + Send + Sync + 'static) -> C
 
 /// Render the unified Prometheus text exposition: obs self-metrics plus
 /// every live registered collector (serve latency/queue summaries, arena
-/// hit-rate, device-pool gauges, VM profile buckets...).
+/// hit-rate and bytes, VM profile buckets...).
 pub fn prometheus() -> String {
     let mut buf = PromBuf::new();
     buf.header(

@@ -432,7 +432,7 @@ impl ModelRegistry {
     }
 
     /// Drain an entry's replica set (which also trims each replica's
-    /// worker storage arenas back to the device pools) and release its
+    /// worker storage arenas) and release its
     /// pre-packed weights; returns its version string. After retirement
     /// the entry holds no recycled storage and no packed panels —
     /// unload/hot-swap returns memory to the pre-load baseline.

@@ -22,7 +22,6 @@ use crate::telemetry::{
     HistogramSnapshot, ModelStats, ModelTelemetry, ServeStats, Telemetry, EXEMPLAR_LE_NS,
 };
 use nimble_core::{Completion, EngineError};
-use nimble_device::DeviceId;
 use nimble_obs::export::{register_collector, CollectorHandle, PromBuf};
 use nimble_obs::{Category as ObsCat, SpanContext};
 use nimble_specialize::SpecializeStats;
@@ -523,8 +522,8 @@ fn prom_exemplar_hist(
 }
 
 /// The router's Prometheus collector body: serve outcome counters and
-/// latency/queue summaries, storage-arena and device-pool memory
-/// counters, engine queue depth and queue/exec time, and the VM profile
+/// latency/queue summaries, storage-arena memory counters, engine queue
+/// depth and queue/exec time, and the VM profile
 /// (bucket and per-opcode time) — all from the same run, unified in one
 /// exposition.
 fn collect_serve_metrics(telemetry: &Telemetry, registry: &ModelRegistry, buf: &mut PromBuf) {
@@ -725,19 +724,16 @@ fn collect_serve_metrics(telemetry: &Telemetry, registry: &ModelRegistry, buf: &
         buf.sample_u64("nimble_batch_size_count", &[("model", model)], h.count());
     }
 
-    // Engine queue/exec split (summed across replicas), per-replica rows,
-    // and device-pool memory come straight from the live entries (they
-    // have no history once a model is unloaded).
+    // Engine queue/exec split (summed across replicas) and per-replica
+    // rows come straight from the live entries (they have no history once
+    // a model is unloaded).
     let mut rows = Vec::new();
     let mut shard_rows = Vec::new();
     for (name, _) in registry.list() {
         if let Some(entry) = registry.get(&name) {
             let stats = entry.shards().engine_stats();
-            let devices = entry.vm().devices();
-            let cpu = devices.pool(DeviceId::Cpu).stats();
-            let gpu = devices.pool(DeviceId::Gpu).stats();
             shard_rows.push((name.clone(), entry.shards().stats()));
-            rows.push((name, stats, cpu, gpu));
+            rows.push((name, stats));
         }
     }
     buf.header(
@@ -802,7 +798,7 @@ fn collect_serve_metrics(telemetry: &Telemetry, registry: &ModelRegistry, buf: &
         "Requests waiting in the engine queue",
         "gauge",
     );
-    for (model, es, _, _) in &rows {
+    for (model, es) in &rows {
         buf.sample_u64(
             "nimble_engine_queue_depth",
             &[("model", model)],
@@ -814,7 +810,7 @@ fn collect_serve_metrics(telemetry: &Telemetry, registry: &ModelRegistry, buf: &
         "Cumulative queue-wait time across completed requests",
         "counter",
     );
-    for (model, es, _, _) in &rows {
+    for (model, es) in &rows {
         buf.sample_f64(
             "nimble_engine_queue_seconds_total",
             &[("model", model)],
@@ -826,7 +822,7 @@ fn collect_serve_metrics(telemetry: &Telemetry, registry: &ModelRegistry, buf: &
         "Cumulative pure execution time across completed requests",
         "counter",
     );
-    for (model, es, _, _) in &rows {
+    for (model, es) in &rows {
         buf.sample_f64(
             "nimble_engine_exec_seconds_total",
             &[("model", model)],
@@ -838,7 +834,7 @@ fn collect_serve_metrics(telemetry: &Telemetry, registry: &ModelRegistry, buf: &
         "Padded batches executed (summed across replicas)",
         "counter",
     );
-    for (model, es, _, _) in &rows {
+    for (model, es) in &rows {
         buf.sample_u64(
             "nimble_batches_formed_total",
             &[("model", model)],
@@ -850,52 +846,13 @@ fn collect_serve_metrics(telemetry: &Telemetry, registry: &ModelRegistry, buf: &
         "Fraction of gathered batch units that were padding",
         "gauge",
     );
-    for (model, es, _, _) in &rows {
+    for (model, es) in &rows {
         buf.sample_f64(
             "nimble_batch_pad_waste_ratio",
             &[("model", model)],
             es.pad_waste_ratio(),
         );
     }
-    for (name, help, kind, pick) in [
-        (
-            "nimble_pool_live_bytes",
-            "Bytes currently live in the device memory pool",
-            "gauge",
-            (|p: &nimble_device::PoolStats| p.live_bytes) as fn(&nimble_device::PoolStats) -> u64,
-        ),
-        (
-            "nimble_pool_peak_live_bytes",
-            "High-water mark of live pool bytes",
-            "gauge",
-            |p| p.peak_live_bytes,
-        ),
-        (
-            "nimble_pool_allocs_total",
-            "Allocation requests served by the pool",
-            "counter",
-            |p| p.allocs,
-        ),
-        (
-            "nimble_pool_hits_total",
-            "Allocations served from the pool free list",
-            "counter",
-            |p| p.pool_hits,
-        ),
-        (
-            "nimble_pool_frees_total",
-            "Blocks returned to the pool",
-            "counter",
-            |p| p.frees,
-        ),
-    ] {
-        buf.header(name, help, kind);
-        for (model, _, cpu, gpu) in &rows {
-            buf.sample_u64(name, &[("model", model), ("device", "cpu")], pick(cpu));
-            buf.sample_u64(name, &[("model", model), ("device", "gpu")], pick(gpu));
-        }
-    }
-
     // Shape-specialization counters, cache size, and tune-time histogram
     // from each live model's specializer (models serving without one —
     // disabled, or no dense anchors — emit nothing).

@@ -161,7 +161,7 @@ fn traced_request_yields_connected_span_tree() {
     assert!(json.contains("\"cat\":\"kernel\""));
     assert!(json.contains("droppedSpans"));
 
-    // The Prometheus exposition unifies serve, arena, pool and VM-profile
+    // The Prometheus exposition unifies serve, arena and VM-profile
     // metrics from the same run through the router's collector.
     let prom = router.prometheus();
     for needle in [
@@ -170,8 +170,8 @@ fn traced_request_yields_connected_span_tree() {
         "nimble_serve_queue_seconds_count{model=\"bertish\"} 1",
         "nimble_serve_requests_total{model=\"bertish\",outcome=\"completed\"} 1",
         "nimble_arena_hit_rate{model=\"bertish\"}",
-        "nimble_pool_live_bytes{model=\"bertish\",device=\"cpu\"}",
-        "nimble_pool_peak_live_bytes{model=\"bertish\",device=\"cpu\"}",
+        "nimble_arena_live_bytes{model=\"bertish\"}",
+        "nimble_arena_high_water_bytes{model=\"bertish\"}",
         "nimble_vm_time_seconds{model=\"bertish\",bucket=\"kernel\"}",
         "nimble_vm_time_seconds{model=\"bertish\",bucket=\"other\"}",
         "nimble_vm_instructions_total{model=\"bertish\"}",
@@ -184,6 +184,10 @@ fn traced_request_yields_connected_span_tree() {
             "missing from exposition: {needle}\n{prom}"
         );
     }
+    assert!(
+        !prom.contains("nimble_pool_"),
+        "no device pool backs storage, so none is reported"
+    );
 
     // --- Shape specialization: spans and metric families ---------------
     // A dense model on its own registry with an aggressive threshold: the

@@ -54,13 +54,21 @@ pub fn slot_f32<'a>(
     slot(op, outs, i, DType::F32, dims)?.as_f32_mut()
 }
 
-/// Hand over the outputs of a kernel that builds its own results: moved
-/// into `outs` when nothing was planned, copied into the planned tensors
-/// (checked as by [`slot`]) otherwise.
+/// Hand over the outputs of a kernel that builds its own results from
+/// `inputs`: moved into `outs` when nothing was planned, copied into the
+/// planned tensors (checked as by [`slot`]) otherwise. A result that
+/// shares an input's buffer is a view (`reshape`, `expand_dims`,
+/// `squeeze`): it replaces its planned tensor instead, so a view costs no
+/// copy.
 ///
 /// # Errors
 /// Fails on an output-count, dims or dtype mismatch.
-pub fn deliver(op: &str, results: Vec<Tensor>, outs: &mut Vec<Tensor>) -> Result<()> {
+pub fn deliver(
+    op: &str,
+    inputs: &[Tensor],
+    results: Vec<Tensor>,
+    outs: &mut Vec<Tensor>,
+) -> Result<()> {
     if outs.is_empty() {
         *outs = results;
         return Ok(());
@@ -72,10 +80,13 @@ pub fn deliver(op: &str, results: Vec<Tensor>, outs: &mut Vec<Tensor>) -> Result
             results.len()
         )));
     }
-    for (i, r) in results.iter().enumerate() {
-        slot(op, outs, i, r.dtype(), r.dims())?
-            .data_mut()
-            .copy_from(r.data())?;
+    for (i, r) in results.into_iter().enumerate() {
+        let planned = slot(op, outs, i, r.dtype(), r.dims())?;
+        if inputs.iter().any(|x| x.buffer_id() == r.buffer_id()) {
+            *planned = r;
+        } else {
+            planned.data_mut().copy_from(r.data())?;
+        }
     }
     Ok(())
 }
@@ -138,15 +149,28 @@ mod tests {
     fn deliver_moves_or_copies() {
         let r = Tensor::from_vec_f32(vec![1.0, 2.0], &[2]).unwrap();
         let mut outs = Vec::new();
-        deliver("t", vec![r.clone()], &mut outs).unwrap();
+        deliver("t", &[], vec![r.clone()], &mut outs).unwrap();
         assert_eq!(outs[0].buffer_id(), r.buffer_id());
         let planned = Tensor::zeros(DType::F32, &[2]);
         let id = planned.buffer_id();
         let mut outs = vec![planned];
-        deliver("t", vec![r.clone()], &mut outs).unwrap();
+        deliver("t", &[], vec![r.clone()], &mut outs).unwrap();
         assert_eq!(outs[0].buffer_id(), id);
         assert_eq!(outs[0].as_f32().unwrap(), &[1.0, 2.0]);
         let mut wrong = vec![Tensor::zeros(DType::F32, &[3])];
-        assert!(deliver("t", vec![r], &mut wrong).is_err());
+        assert!(deliver("t", &[], vec![r.clone()], &mut wrong).is_err());
+    }
+
+    #[test]
+    fn deliver_hands_views_over() {
+        let x = Tensor::from_vec_f32(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
+        let view = x.reshaped(&[4]).unwrap();
+        let mut outs = vec![Tensor::zeros(DType::F32, &[4])];
+        deliver("reshape", std::slice::from_ref(&x), vec![view], &mut outs).unwrap();
+        assert_eq!(outs[0].buffer_id(), x.buffer_id(), "no copy");
+        assert_eq!(outs[0].dims(), &[4]);
+        let view = x.reshaped(&[4]).unwrap();
+        let mut wrong = vec![Tensor::zeros(DType::F32, &[1, 4])];
+        assert!(deliver("reshape", &[x], vec![view], &mut wrong).is_err());
     }
 }

@@ -28,7 +28,6 @@
 //! Device residency is a tag in this simulation (the GPU lanes run on host
 //! memory), so buffers are not keyed by device.
 
-use nimble_device::size_class;
 use nimble_tensor::{DType, Data, Recycle};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -45,6 +44,12 @@ pub const POISON_F32_BITS: u32 = 0x7FA5_A5A5;
 
 /// Byte written over integer buffers in debug builds.
 pub const POISON_BYTE: u8 = 0xA5;
+
+/// Round a request up to its size class (next power of two, minimum 64
+/// bytes).
+pub fn size_class(nbytes: usize) -> usize {
+    nbytes.next_power_of_two().max(64)
+}
 
 /// Whether sessions should use an arena by default: on, unless the
 /// `NIMBLE_ARENA` environment variable is `off`/`0`/`false` (the escape
@@ -332,6 +337,14 @@ mod tests {
         let data = arena.acquire(dtype, nbytes, shape.volume());
         let home: Arc<dyn Recycle> = arena.clone();
         Tensor::from_parts(data, shape, Some(home)).unwrap()
+    }
+
+    #[test]
+    fn size_classes_round_up() {
+        assert_eq!(size_class(1), 64);
+        assert_eq!(size_class(64), 64);
+        assert_eq!(size_class(65), 128);
+        assert_eq!(size_class(1000), 1024);
     }
 
     #[test]

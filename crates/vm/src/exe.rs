@@ -182,6 +182,7 @@ fn wrap_shape_func(sf: ShapeFuncKernel) -> Kernel {
     Kernel::new(&name, move |inputs, outs| {
         Ok(nimble_tensor::dest::deliver(
             "shape_func",
+            inputs,
             sf.invoke(inputs)?,
             outs,
         )?)

@@ -21,7 +21,7 @@
 use crate::arena::{ArenaStats, StorageArena};
 use crate::exe::Executable;
 use crate::isa::{opcode_name, Instruction};
-use crate::object::{AdtObj, ClosureObj, FutureObj, Object, StorageHandle};
+use crate::object::{AdtObj, ClosureObj, FutureObj, Object, PlannedObj, StorageHandle};
 use crate::profiler::{Category, ProfileReport, Profiler, SharedProfiler};
 use crate::{Result, VmError};
 use nimble_codegen::kernel::Kernel;
@@ -449,6 +449,33 @@ impl VirtualMachine {
         made.map_err(VmError::from)
     }
 
+    /// The object `AllocTensor`/`AllocTensorReg` put in their destination
+    /// register: the planned tensor itself, or — for a storage on a device
+    /// with a stream, whose kernel will launch asynchronously — a
+    /// [`PlannedObj`] the lane job fills in when it runs.
+    fn planned_output(
+        &self,
+        arena: Option<&Arc<StorageArena>>,
+        nbytes: u64,
+        shape: Shape,
+        dtype: DType,
+        device: DeviceId,
+    ) -> Result<Object> {
+        if device == DeviceId::Gpu && self.devices.has_gpu() {
+            planned_bytes(&shape, dtype)?;
+            return Ok(Object::Planned(PlannedObj {
+                shape,
+                dtype,
+                nbytes,
+                device,
+            }));
+        }
+        Ok(Object::tensor_on(
+            Self::alloc_tensor(arena, nbytes, shape, dtype)?,
+            device,
+        ))
+    }
+
     /// Interned scalar for small non-negative immediates; allocates
     /// otherwise.
     fn small_int(&self, value: i64) -> Object {
@@ -625,9 +652,13 @@ impl VirtualMachine {
                     let shape = shapes[pc as usize]
                         .clone()
                         .expect("AllocTensor shapes are interned at load");
-                    let tensor =
-                        Self::alloc_tensor(session.arena.as_ref(), handle.size, shape, *dtype)?;
-                    regs[*dst as usize] = Object::tensor_on(tensor, handle.device);
+                    regs[*dst as usize] = self.planned_output(
+                        session.arena.as_ref(),
+                        handle.size,
+                        shape,
+                        *dtype,
+                        handle.device,
+                    )?;
                 }
                 Instruction::AllocTensorReg {
                     shape,
@@ -644,9 +675,13 @@ impl VirtualMachine {
                         .collect();
                     let nbytes = planned_bytes(&dims, *dtype)?;
                     span_arg = nbytes;
-                    let tensor = Self::alloc_tensor(session.arena.as_ref(), nbytes, dims, *dtype)?;
-                    regs[*dst as usize] =
-                        Object::tensor_on(tensor, DeviceId::from_index(*device as usize));
+                    regs[*dst as usize] = self.planned_output(
+                        session.arena.as_ref(),
+                        nbytes,
+                        dims,
+                        *dtype,
+                        DeviceId::from_index(*device as usize),
+                    )?;
                 }
                 Instruction::AllocADT { tag, fields, dst } => {
                     let fs: Vec<Object> =
@@ -794,9 +829,8 @@ impl VirtualMachine {
 
     /// Run one kernel call. On the CPU the kernel writes the planned
     /// tensors of its output registers in place, reading its inputs
-    /// through the session's reusable argument vectors; on a GPU lane the
-    /// job takes the planned outputs along and the registers become
-    /// futures.
+    /// through the session's reusable argument vectors; a device kernel
+    /// goes to [`VirtualMachine::launch_on_gpu`].
     #[allow(clippy::too_many_arguments)]
     fn invoke_packed(
         &self,
@@ -817,36 +851,40 @@ impl VirtualMachine {
             return Err(VmError::msg("InvokePacked: fewer args than outputs"));
         }
         let (in_regs, out_regs) = arg_regs.split_at(arg_regs.len() - n_out);
-        // The planned output tensors, taken out of their registers; shape
-        // functions' output registers are unplanned (empty), and then the
-        // kernel allocates its outputs.
+        let run_on_gpu = device == DeviceId::Gpu && self.devices.has_gpu() && !is_shape_func;
+        if run_on_gpu {
+            return self.launch_on_gpu(kernel, in_regs, out_regs, regs, session);
+        }
+
+        // Synchronous CPU execution (shape functions always land here).
+        // The planned output tensors are taken out of their registers;
+        // shape functions' output registers are unplanned (empty), and
+        // then the kernel allocates its outputs.
         let mut outputs = std::mem::take(&mut session.outputs);
         outputs.clear();
+        let mut inputs = std::mem::take(&mut session.inputs);
+        let mut result = Ok(());
         for (i, &r) in out_regs.iter().enumerate() {
             match std::mem::take(&mut regs[r as usize]) {
                 Object::Tensor(t) if outputs.len() == i => outputs.push(t.tensor),
+                Object::Planned(p) if outputs.len() == i => {
+                    match Self::alloc_tensor(session.arena.as_ref(), p.nbytes, p.shape, p.dtype) {
+                        Ok(t) => outputs.push(t),
+                        Err(e) => {
+                            result = Err(e);
+                            break;
+                        }
+                    }
+                }
                 Object::Unit if outputs.is_empty() => {}
                 other => {
-                    session.outputs = outputs;
-                    return Err(VmError::msg(format!(
-                        "{}: output register {r} holds {}, expected {}",
-                        kernel.name(),
-                        other.kind_name(),
-                        if i == 0 {
-                            "a planned tensor or nothing"
-                        } else {
-                            "the same as output 0"
-                        }
-                    )));
+                    result = Err(Self::bad_output(kernel, r, i, &other));
+                    break;
                 }
             }
         }
-
-        let run_on_gpu = device == DeviceId::Gpu && self.devices.has_gpu() && !is_shape_func;
-        if !run_on_gpu {
-            // Synchronous CPU execution (shape functions always land here).
-            let mut inputs = std::mem::take(&mut session.inputs);
-            let result = self.run_cpu_kernel(
+        if result.is_ok() {
+            result = self.run_cpu_kernel(
                 kernel,
                 kernel_idx,
                 in_regs,
@@ -856,47 +894,76 @@ impl VirtualMachine {
                 &mut outputs,
                 n_out,
             );
-            // Drop the input references now, so their buffers can return
-            // to the arena as soon as their registers are killed.
-            inputs.clear();
-            session.inputs = inputs;
-            if let Err(e) = result {
-                outputs.clear();
-                session.outputs = outputs;
-                return Err(e);
-            }
+        }
+        // Drop the input references now, so their buffers can return to
+        // the arena as soon as their registers are killed.
+        inputs.clear();
+        session.inputs = inputs;
+        if result.is_ok() {
             for (&slot, tensor) in out_regs.iter().zip(outputs.drain(..)) {
                 regs[slot as usize] = Object::tensor_on(tensor, device);
             }
-            session.outputs = outputs;
-            return Ok(());
         }
-
-        // Asynchronous GPU launch: inputs are snapshotted and the output
-        // registers become futures carrying the planned shapes and dtypes.
-        // The job draws its output buffers from the session arena when the
-        // lane runs it, in stream order: holding the planned buffers from
-        // launch would pin a request's whole launch backlog at once.
-        if outputs.len() != n_out {
-            session.outputs = outputs;
-            return Err(VmError::msg(format!(
-                "{}: a device launch needs planned outputs",
-                kernel.name()
-            )));
-        }
-        let planned: Vec<(Shape, DType)> = outputs
-            .drain(..)
-            .map(|t| (t.shape().clone(), t.dtype()))
-            .collect();
+        outputs.clear();
         session.outputs = outputs;
+        result
+    }
+
+    /// The error for an output register that holds neither a planned
+    /// output nor (for every output of an unplanned call) nothing.
+    fn bad_output(kernel: &Kernel, reg: u32, i: usize, held: &Object) -> VmError {
+        VmError::msg(format!(
+            "{}: output register {reg} holds {}, expected {}",
+            kernel.name(),
+            held.kind_name(),
+            if i == 0 {
+                "a planned tensor or nothing"
+            } else {
+                "the same as output 0"
+            }
+        ))
+    }
+
+    /// Asynchronous GPU launch: inputs are snapshotted and the output
+    /// registers become futures carrying the planned shapes and dtypes.
+    /// The job draws its output buffers from the session arena when the
+    /// lane runs it, in stream order: holding the planned buffers from
+    /// launch would pin a request's whole launch backlog at once. An
+    /// output register that already holds a tensor (a storage the memory
+    /// plan put on another device) moves into the job as it is.
+    fn launch_on_gpu(
+        &self,
+        kernel: &Kernel,
+        in_regs: &[u32],
+        out_regs: &[u32],
+        regs: &mut [Object],
+        session: &mut Session,
+    ) -> Result<()> {
+        let mut planned: Vec<Object> = Vec::with_capacity(out_regs.len());
+        let mut meta: Vec<(Shape, DType)> = Vec::with_capacity(out_regs.len());
+        for &r in out_regs {
+            let held = std::mem::take(&mut regs[r as usize]);
+            match &held {
+                Object::Tensor(t) => meta.push((t.tensor.shape().clone(), t.tensor.dtype())),
+                Object::Planned(p) => meta.push((p.shape.clone(), p.dtype)),
+                other => {
+                    return Err(VmError::msg(format!(
+                        "{}: a device launch needs planned outputs, register {r} holds {}",
+                        kernel.name(),
+                        other.kind_name()
+                    )))
+                }
+            }
+            planned.push(held);
+        }
         let inputs: Vec<Object> = in_regs.iter().map(|&r| regs[r as usize].clone()).collect();
         let future = TensorFuture::pending();
-        for (i, (&slot, (shape, dtype))) in out_regs.iter().zip(&planned).enumerate() {
+        for (i, (&slot, (shape, dtype))) in out_regs.iter().zip(meta).enumerate() {
             regs[slot as usize] = Object::Future(FutureObj {
                 future: future.clone(),
                 output_index: i,
-                shape: shape.clone(),
-                dtype: *dtype,
+                shape,
+                dtype,
                 device: DeviceId::Gpu,
             });
         }
@@ -910,9 +977,14 @@ impl VirtualMachine {
                     tensors.push(obj.wait_tensor()?);
                 }
                 let mut outs = Vec::with_capacity(planned.len());
-                for (shape, dtype) in planned {
-                    let nbytes = (shape.volume() * dtype.size_of()) as u64;
-                    outs.push(Self::alloc_tensor(arena.as_ref(), nbytes, shape, dtype)?);
+                for obj in planned {
+                    outs.push(match obj {
+                        Object::Planned(p) => {
+                            Self::alloc_tensor(arena.as_ref(), p.nbytes, p.shape, p.dtype)?
+                        }
+                        Object::Tensor(t) => t.tensor,
+                        _ => unreachable!("checked at launch"),
+                    });
                 }
                 job_kernel
                     .invoke_into(&tensors, &mut outs)

@@ -30,7 +30,7 @@ pub use disasm::disassemble;
 pub use exe::{Executable, KernelDesc, VMFunction};
 pub use interp::{DispatchHook, Session, VirtualMachine};
 pub use isa::{Instruction, RegId};
-pub use object::{Object, StorageHandle};
+pub use object::{Object, PlannedObj, StorageHandle};
 pub use profiler::{ProfileReport, Profiler, SharedProfiler};
 
 /// Errors raised while building, serializing, or executing VM programs.

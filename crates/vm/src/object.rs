@@ -26,6 +26,25 @@ pub struct StorageHandle {
     pub device: DeviceId,
 }
 
+/// A planned output of a kernel placed on the simulated GPU: what
+/// `AllocTensor`/`AllocTensorReg` declare when the storage lives on a
+/// device with a stream. It holds no buffer yet. The launching
+/// `InvokePacked` turns the register into a future, and the lane job
+/// draws the element buffer from the session arena, under the storage's
+/// size class, when it runs: one arena acquire per output, and a launch
+/// backlog does not pin its outputs' memory.
+#[derive(Debug, Clone)]
+pub struct PlannedObj {
+    /// Planned shape.
+    pub shape: Shape,
+    /// Planned dtype.
+    pub dtype: nimble_tensor::DType,
+    /// Planned byte size of the storage the tensor is placed in.
+    pub nbytes: u64,
+    /// Device the storage lives on.
+    pub device: DeviceId,
+}
+
 /// A tensor resident on a device. Cloning one never allocates.
 #[derive(Debug, Clone)]
 pub struct TensorObj {
@@ -85,6 +104,8 @@ pub enum Object {
     Future(FutureObj),
     /// Planned storage region.
     Storage(StorageHandle),
+    /// Planned device output whose buffer is drawn when its kernel runs.
+    Planned(PlannedObj),
     /// ADT value / tuple.
     Adt(Arc<AdtObj>),
     /// Closure.
@@ -116,6 +137,7 @@ impl Object {
             Object::Tensor(t) => t.device,
             Object::Future(f) => f.device,
             Object::Storage(s) => s.device,
+            Object::Planned(p) => p.device,
             _ => DeviceId::Cpu,
         }
     }
@@ -149,6 +171,7 @@ impl Object {
         match self {
             Object::Tensor(t) => Ok(t.tensor.dims()),
             Object::Future(f) => Ok(f.shape.dims()),
+            Object::Planned(p) => Ok(p.shape.dims()),
             other => Err(VmError::msg(format!(
                 "expected tensor object, got {}",
                 other.kind_name()
@@ -209,6 +232,7 @@ impl Object {
             Object::Tensor(_) => "tensor",
             Object::Future(_) => "future",
             Object::Storage(_) => "storage",
+            Object::Planned(_) => "planned tensor",
             Object::Adt(_) => "adt",
             Object::Closure(_) => "closure",
         }

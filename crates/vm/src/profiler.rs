@@ -72,6 +72,16 @@ pub struct OpcodeStat {
 }
 
 impl ProfileReport {
+    /// Planned tensors built (`AllocTensor` + `AllocTensorReg`
+    /// executions): the element buffers a run allocates when no arena
+    /// recycles them.
+    pub fn planned_tensors(&self) -> u64 {
+        (0..NUM_OPCODES)
+            .filter(|&op| matches!(opcode_name(op as u8), "AllocTensor" | "AllocTensorReg"))
+            .map(|op| self.counts[op])
+            .sum()
+    }
+
     /// "others" as the paper defines it: everything that is not kernel
     /// execution.
     pub fn others_total_ns(self) -> u64 {

@@ -12,11 +12,12 @@
 //!    holds no live bytes and trims to zero.
 
 use nimble_core::{compile, CompileOptions};
-use nimble_device::{size_class, DeviceSet};
+use nimble_device::DeviceSet;
 use nimble_ir::builder::FunctionBuilder;
 use nimble_ir::types::TensorType;
 use nimble_ir::{Attrs, DType, Module};
 use nimble_tensor::{Recycle, Shape, Tensor};
+use nimble_vm::arena::size_class;
 use nimble_vm::{Object, Session, StorageArena, VirtualMachine};
 use proptest::prelude::*;
 use std::collections::HashSet;

@@ -21,6 +21,12 @@ fn add_kernel() -> KernelDesc {
 /// main(a, b) = a + b via explicit allocation: AllocStorage + AllocTensor +
 /// InvokePacked — the paper's Section 4.3 example, executed.
 fn add_program(device: u8) -> Executable {
+    add_program_sized(device, 40)
+}
+
+/// [`add_program`] with a storage of `size` bytes (a coalesced storage is
+/// larger than the tensor placed in it).
+fn add_program_sized(device: u8, size: u64) -> Executable {
     Executable {
         functions: vec![VMFunction {
             name: "main".into(),
@@ -28,7 +34,7 @@ fn add_program(device: u8) -> Executable {
             num_regs: 5,
             code: vec![
                 Instruction::AllocStorage {
-                    size: 40,
+                    size,
                     alignment: 64,
                     device,
                     dst: 2,
@@ -94,6 +100,33 @@ fn async_gpu_execution_returns_host_tensor() {
     let t = out.wait_tensor().unwrap();
     assert!(t.as_f32().unwrap().iter().all(|&v| v == 12.0));
     assert_eq!(vm.devices().gpu().launch_count(), 1);
+}
+
+#[test]
+fn gpu_launch_costs_one_arena_acquire() {
+    // The lane job draws the output buffer when it runs, under the size
+    // class of the storage (400 bytes -> 512), and `AllocTensor` draws
+    // none for a device launch: one acquire per launch.
+    let exe = add_program_sized(1, 400);
+    let vm = VirtualMachine::new(exe, Arc::new(DeviceSet::with_gpu())).unwrap();
+    let arena = Arc::new(nimble_vm::StorageArena::new());
+    let mut session = nimble_vm::Session::with_lane_and_arena(0, Some(Arc::clone(&arena)));
+    for _ in 0..2 {
+        let out = vm
+            .run_in(
+                &mut session,
+                "main",
+                vec![Object::tensor(v10(5.0)), Object::tensor(v10(7.0))],
+            )
+            .unwrap();
+        let t = out.wait_tensor().unwrap();
+        assert!(t.as_f32().unwrap().iter().all(|&v| v == 12.0));
+    }
+    assert_eq!(vm.devices().gpu().launch_count(), 2);
+    let stats = arena.stats();
+    assert_eq!((stats.misses, stats.hits), (1, 1));
+    assert_eq!((stats.retained_blocks, stats.retained_bytes), (1, 512));
+    assert_eq!(stats.live_bytes, 0);
 }
 
 #[test]

@@ -5,7 +5,7 @@ use nimble::compiler::{compile, CompileOptions};
 use nimble::device::DeviceSet;
 use nimble::models::data::list_object;
 use nimble::models::{LstmConfig, LstmModel, TreeLstmConfig, TreeLstmModel};
-use nimble::vm::{Executable, VirtualMachine};
+use nimble::vm::{Executable, Session, StorageArena, VirtualMachine};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -111,20 +111,23 @@ proptest! {
         prop_assert!(Executable::load(&bytes[..cut]).is_err());
     }
 
-    /// Memory pools never leak accounting: after dropping every object,
-    /// live bytes return to zero.
+    /// The storage arena's buffer pool never leaks accounting: after
+    /// dropping every object, live bytes return to zero and every buffer
+    /// it allocated is parked for reuse.
     #[test]
     fn pool_accounting_balances(len in 0usize..8, seed in 0u64..50) {
         let model = lstm();
-        let (exe, _) = compile(&model.module(), &CompileOptions::default()).unwrap();
-        let devices = Arc::new(DeviceSet::cpu_only());
-        let vm = VirtualMachine::new(exe, Arc::clone(&devices)).unwrap();
+        let vm = lstm_vm();
+        let arena = Arc::new(StorageArena::new());
+        let mut session = Session::with_lane_and_arena(0, Some(Arc::clone(&arena)));
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
         let tokens = model.random_tokens(&mut rng, len);
-        let out = vm.run("main", vec![list_object(&tokens)]).unwrap();
+        let out = vm.run_in(&mut session, "main", vec![list_object(&tokens)]).unwrap();
         drop(out);
+        drop(session);
         drop(vm);
-        let stats = devices.pool(nimble::device::DeviceId::Cpu).stats();
-        prop_assert_eq!(stats.live_bytes, 0, "allocs {} frees {}", stats.allocs, stats.frees);
+        let stats = arena.stats();
+        prop_assert_eq!(stats.live_bytes, 0, "{:?}", stats);
+        prop_assert_eq!(stats.retained_blocks, stats.misses, "{:?}", stats);
     }
 }
