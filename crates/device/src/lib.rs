@@ -18,7 +18,8 @@
 //!    through the stream's channel.
 //!
 //! Device memory is a residency tag: tensor buffers live in host memory
-//! and are recycled by the VM's per-session storage arena.
+//! and are recycled by the VM's per-session storage arenas, which report
+//! each device's buffer traffic to its [`BufferCounters`].
 
 pub mod future;
 pub mod stream;
@@ -90,10 +91,48 @@ impl CopyStats {
     }
 }
 
-/// The set of devices available to one VM instance: the optional GPU
-/// streams and copy accounting.
+/// Planned element buffers placed on one device: how many the VM handed
+/// out, and how many of those a storage arena served from a recycled
+/// buffer (the arenas are the device's buffer pool).
+#[derive(Debug, Default)]
+pub struct BufferCounters {
+    allocs: AtomicU64,
+    hits: AtomicU64,
+}
+
+/// Snapshot of [`BufferCounters`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BufferStats {
+    /// Planned element buffers handed out.
+    pub allocs: u64,
+    /// Of those, buffers recycled from an arena free list.
+    pub pool_hits: u64,
+}
+
+impl BufferCounters {
+    /// Count one handed-out buffer; `recycled` when an arena reused it.
+    pub fn record(&self, recycled: bool) {
+        self.allocs.fetch_add(1, Ordering::Relaxed);
+        if recycled {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Snapshot the counters.
+    pub fn stats(&self) -> BufferStats {
+        BufferStats {
+            allocs: self.allocs.load(Ordering::Relaxed),
+            pool_hits: self.hits.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// The set of devices available to one VM instance: per-device buffer
+/// counters, the optional GPU streams, and copy accounting.
 #[derive(Debug)]
 pub struct DeviceSet {
+    /// Shared so an asynchronous job can count the buffer it draws.
+    buffers: [std::sync::Arc<BufferCounters>; 2],
     /// Independent GPU streams ("lanes"). Empty means CPU only. Kernels
     /// chained through futures stay correct across lanes (a job blocks on
     /// its input futures), so concurrent sessions can each use their own
@@ -108,6 +147,7 @@ impl DeviceSet {
     /// CPU-only device set.
     pub fn cpu_only() -> DeviceSet {
         DeviceSet {
+            buffers: Default::default(),
             gpu: Vec::new(),
             copies: CopyStats::default(),
             sync_count: AtomicU64::new(0),
@@ -131,6 +171,7 @@ impl DeviceSet {
     pub fn with_gpu_lanes(lanes: usize, kernel_latency: std::time::Duration) -> DeviceSet {
         assert!(lanes > 0, "a GPU device set needs at least one stream");
         DeviceSet {
+            buffers: Default::default(),
             gpu: (0..lanes)
                 .map(|_| GpuStream::spawn_with_latency(kernel_latency))
                 .collect(),
@@ -138,6 +179,11 @@ impl DeviceSet {
             sync_count: AtomicU64::new(0),
             last_kernel_device: Mutex::new(DeviceId::Cpu),
         }
+    }
+
+    /// The buffer counters of a device.
+    pub fn pool(&self, device: DeviceId) -> &std::sync::Arc<BufferCounters> {
+        &self.buffers[device.index()]
     }
 
     /// Whether a (simulated) GPU is present.
@@ -263,6 +309,18 @@ mod tests {
         let same = copy_tensor(&set, &t, DeviceId::Cpu, DeviceId::Cpu);
         assert!(!same.is_unique());
         assert_eq!(set.copy_stats().snapshot().0, 1);
+    }
+
+    #[test]
+    fn buffer_counters_split_by_device() {
+        let set = DeviceSet::cpu_only();
+        set.pool(DeviceId::Cpu).record(false);
+        set.pool(DeviceId::Cpu).record(true);
+        set.pool(DeviceId::Gpu).record(true);
+        let cpu = set.pool(DeviceId::Cpu).stats();
+        assert_eq!((cpu.allocs, cpu.pool_hits), (2, 1));
+        let gpu = set.pool(DeviceId::Gpu).stats();
+        assert_eq!((gpu.allocs, gpu.pool_hits), (1, 1));
     }
 
     #[test]

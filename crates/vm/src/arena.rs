@@ -184,8 +184,8 @@ impl StorageArena {
     /// planned bytes: a parked buffer of the same size class when one is
     /// free, a fresh one with the class's capacity otherwise. Its contents
     /// are unspecified (poison in debug builds); the caller overwrites
-    /// every element.
-    pub fn acquire(&self, dtype: DType, nbytes: usize, len: usize) -> Data {
+    /// every element. The flag says whether the buffer was recycled.
+    pub fn acquire(&self, dtype: DType, nbytes: usize, len: usize) -> (Data, bool) {
         let size = dtype.size_of();
         let class = size_class(nbytes.max(len * size));
         let recycled = {
@@ -202,6 +202,7 @@ impl StorageArena {
                     .map(|i| list.swap_remove(i))
             }
         };
+        let hit = recycled.is_some();
         let mut data = match recycled {
             Some(data) => {
                 let cap = capacity_bytes(&data) as u64;
@@ -226,7 +227,7 @@ impl StorageArena {
             .fetch_add(capacity_bytes(&data) as u64, Ordering::Relaxed)
             + capacity_bytes(&data) as u64;
         self.high_water_bytes.fetch_max(live, Ordering::Relaxed);
-        data
+        (data, hit)
     }
 
     /// Free every parked buffer; yields the number of bytes released. Live
@@ -334,7 +335,7 @@ mod tests {
     /// A tensor whose buffer comes from (and returns to) `arena`.
     fn tensor(arena: &Arc<StorageArena>, dtype: DType, nbytes: usize, dims: &[usize]) -> Tensor {
         let shape = Shape::new(dims);
-        let data = arena.acquire(dtype, nbytes, shape.volume());
+        let (data, _) = arena.acquire(dtype, nbytes, shape.volume());
         let home: Arc<dyn Recycle> = arena.clone();
         Tensor::from_parts(data, shape, Some(home)).unwrap()
     }

@@ -25,7 +25,7 @@ use crate::object::{AdtObj, ClosureObj, FutureObj, Object, PlannedObj, StorageHa
 use crate::profiler::{Category, ProfileReport, Profiler, SharedProfiler};
 use crate::{Result, VmError};
 use nimble_codegen::kernel::Kernel;
-use nimble_device::{copy_tensor, DeviceId, DeviceSet, TensorFuture};
+use nimble_device::{copy_tensor, BufferCounters, DeviceId, DeviceSet, TensorFuture};
 use nimble_obs::Category as ObsCat;
 use nimble_tensor::{DType, Data, Recycle, Shape, Tensor};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -432,6 +432,7 @@ impl VirtualMachine {
     /// zeroed without one. The kernel that consumes it overwrites it.
     fn alloc_tensor(
         arena: Option<&Arc<StorageArena>>,
+        counters: &BufferCounters,
         nbytes: u64,
         shape: Shape,
         dtype: DType,
@@ -440,11 +441,15 @@ impl VirtualMachine {
         let len = shape.volume();
         let made = match arena {
             Some(arena) => {
-                let data = arena.acquire(dtype, nbytes as usize, len);
+                let (data, recycled) = arena.acquire(dtype, nbytes as usize, len);
+                counters.record(recycled);
                 let home: Arc<dyn Recycle> = arena.clone();
                 Tensor::from_parts(data, shape, Some(home))
             }
-            None => Tensor::from_parts(Data::zeros(dtype, len), shape, None),
+            None => {
+                counters.record(false);
+                Tensor::from_parts(Data::zeros(dtype, len), shape, None)
+            }
         };
         made.map_err(VmError::from)
     }
@@ -471,7 +476,7 @@ impl VirtualMachine {
             }));
         }
         Ok(Object::tensor_on(
-            Self::alloc_tensor(arena, nbytes, shape, dtype)?,
+            Self::alloc_tensor(arena, self.devices.pool(device), nbytes, shape, dtype)?,
             device,
         ))
     }
@@ -868,7 +873,14 @@ impl VirtualMachine {
             match std::mem::take(&mut regs[r as usize]) {
                 Object::Tensor(t) if outputs.len() == i => outputs.push(t.tensor),
                 Object::Planned(p) if outputs.len() == i => {
-                    match Self::alloc_tensor(session.arena.as_ref(), p.nbytes, p.shape, p.dtype) {
+                    let counters = self.devices.pool(p.device);
+                    match Self::alloc_tensor(
+                        session.arena.as_ref(),
+                        counters,
+                        p.nbytes,
+                        p.shape,
+                        p.dtype,
+                    ) {
                         Ok(t) => outputs.push(t),
                         Err(e) => {
                             result = Err(e);
@@ -970,6 +982,7 @@ impl VirtualMachine {
         let job_future = future;
         let job_kernel = kernel.clone();
         let arena = session.arena.clone();
+        let counters = Arc::clone(self.devices.pool(DeviceId::Gpu));
         self.devices.gpu_lane(session.lane).launch(move || {
             let run = || -> Result<Vec<Tensor>> {
                 let mut tensors = Vec::with_capacity(inputs.len());
@@ -979,9 +992,13 @@ impl VirtualMachine {
                 let mut outs = Vec::with_capacity(planned.len());
                 for obj in planned {
                     outs.push(match obj {
-                        Object::Planned(p) => {
-                            Self::alloc_tensor(arena.as_ref(), p.nbytes, p.shape, p.dtype)?
-                        }
+                        Object::Planned(p) => Self::alloc_tensor(
+                            arena.as_ref(),
+                            &counters,
+                            p.nbytes,
+                            p.shape,
+                            p.dtype,
+                        )?,
                         Object::Tensor(t) => t.tensor,
                         _ => unreachable!("checked at launch"),
                     });

@@ -218,7 +218,7 @@ fn recycled_buffers_are_poisoned() {
     let arena = Arc::new(StorageArena::with_poison(true));
     let take = |nbytes: usize, len: usize| {
         let home: Arc<dyn nimble_tensor::Recycle> = arena.clone();
-        let data = arena.acquire(DType::F32, nbytes, len);
+        let (data, _) = arena.acquire(DType::F32, nbytes, len);
         Tensor::from_parts(data, nimble_tensor::Shape::new(&[len]), Some(home)).unwrap()
     };
     let mut first = take(256, 64);

@@ -53,7 +53,7 @@ proptest! {
                 Step::Alloc(size) => {
                     let len = size.div_ceil(4);
                     let home: Arc<dyn Recycle> = arena.clone();
-                    let data = arena.acquire(DType::F32, size, len);
+                    let (data, _) = arena.acquire(DType::F32, size, len);
                     live.push((size, Tensor::from_parts(data, Shape::new(&[len]), Some(home)).unwrap()));
                 }
                 Step::Kill(victim) => {

@@ -127,6 +127,16 @@ fn gpu_launch_costs_one_arena_acquire() {
     assert_eq!((stats.misses, stats.hits), (1, 1));
     assert_eq!((stats.retained_blocks, stats.retained_bytes), (1, 512));
     assert_eq!(stats.live_bytes, 0);
+    // The device's buffer counters see the same two draws.
+    let gpu = vm.devices().pool(nimble_device::DeviceId::Gpu).stats();
+    assert_eq!((gpu.allocs, gpu.pool_hits), (2, 1));
+    assert_eq!(
+        vm.devices()
+            .pool(nimble_device::DeviceId::Cpu)
+            .stats()
+            .allocs,
+        0
+    );
 }
 
 #[test]
