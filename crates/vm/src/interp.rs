@@ -870,27 +870,22 @@ impl VirtualMachine {
         let mut inputs = std::mem::take(&mut session.inputs);
         let mut result = Ok(());
         for (i, &r) in out_regs.iter().enumerate() {
-            match std::mem::take(&mut regs[r as usize]) {
-                Object::Tensor(t) if outputs.len() == i => outputs.push(t.tensor),
-                Object::Planned(p) if outputs.len() == i => {
-                    let counters = self.devices.pool(p.device);
-                    match Self::alloc_tensor(
-                        session.arena.as_ref(),
-                        counters,
-                        p.nbytes,
-                        p.shape,
-                        p.dtype,
-                    ) {
-                        Ok(t) => outputs.push(t),
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                }
-                Object::Unit if outputs.is_empty() => {}
-                other => {
-                    result = Err(Self::bad_output(kernel, r, i, &other));
+            let planned = match std::mem::take(&mut regs[r as usize]) {
+                Object::Tensor(t) if outputs.len() == i => Ok(t.tensor),
+                Object::Planned(p) if outputs.len() == i => Self::alloc_tensor(
+                    session.arena.as_ref(),
+                    self.devices.pool(p.device),
+                    p.nbytes,
+                    p.shape,
+                    p.dtype,
+                ),
+                Object::Unit if outputs.is_empty() => continue,
+                other => Err(Self::bad_output(kernel, r, i, &other)),
+            };
+            match planned {
+                Ok(t) => outputs.push(t),
+                Err(e) => {
+                    result = Err(e);
                     break;
                 }
             }
